@@ -1,0 +1,5 @@
+"""Repo benchmark: search, runtime and fleet workloads measured from outside ``src/``.
+
+Entry point: ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>``.  See ``perfbench/README.md``.
+"""
