@@ -13,7 +13,6 @@ from conftest import bench_config, register_artifact
 
 from repro.autograd.tensor import Tensor
 from repro.core.cosearch import build_supernet
-from repro.nas.batched import BATCHED_SOFT_ENV
 from repro.nas.gumbel import GumbelSoftmax
 from repro.nn.functional import cross_entropy
 
@@ -34,21 +33,8 @@ def test_hard_forward_cost(benchmark, bench_space, bench_splits):
     benchmark(lambda: net(x, sample=net.sample(sampler, hard=True)))
 
 
-def test_soft_forward_serial_oracle_cost(benchmark, bench_space, bench_splits,
-                                         monkeypatch):
-    """The per-candidate serial loop (``REPRO_BATCHED_SOFT=0``): the always-on
-    oracle the batched evaluator is parity-tested against."""
-    monkeypatch.setenv(BATCHED_SOFT_ENV, "0")
-    net = build_supernet(bench_space, bench_config("fpga_pipelined"))
-    sampler = GumbelSoftmax(seed=0)
-    x = Tensor(bench_splits.train.images[:12])
-
-    benchmark(lambda: net(x, sample=net.sample(sampler, hard=False)))
-
-
 def test_soft_forward_cost_and_gradient_quality(benchmark, bench_space,
-                                                bench_splits, monkeypatch):
-    monkeypatch.setenv(BATCHED_SOFT_ENV, "1")
+                                                bench_splits):
     net = build_supernet(bench_space, bench_config("fpga_pipelined"))
     sampler = GumbelSoftmax(seed=0)
     x = Tensor(bench_splits.train.images[:12])
@@ -73,10 +59,8 @@ def test_soft_forward_cost_and_gradient_quality(benchmark, bench_space,
         "Forward-pass timings are in the pytest-benchmark table (the hard",
         "single-path forward evaluates 1 of M candidates per block — the",
         "paper's memory/speed argument; M = "
-        f"{bench_space.num_ops} here).  Soft timings appear twice: the",
-        "fused batched evaluator (default) and the serial per-candidate",
-        "oracle (REPRO_BATCHED_SOFT=0); both share the direct depthwise",
-        "kernel, so the gap is dispatch/stacking overhead only.",
+        f"{bench_space.num_ops} here), while the soft forward runs all M",
+        "candidates of every block one after another.",
     ])
     register_artifact("ablation_gumbel", text)
 

@@ -8,49 +8,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.pool import MIN_POOL_ELEMS
-from repro.autograd.tensor import Tensor, make_op, pool_for_op, unbroadcast
-
-
-def _pooled_binary_out(a: Tensor, b: Tensor, ufunc) -> tuple[np.ndarray, bool]:
-    """Apply ``ufunc`` into a pooled buffer when the training pool is active.
-
-    Only same-dtype operands of poolable size qualify (a mixed-dtype result
-    would be coerced — copied — by the Tensor constructor, orphaning the
-    pooled buffer; tiny results are cheaper to allocate than to bucket); the
-    residual adds, straight-through gate multiplies and quantisation mixtures
-    on the supernet hot path are all same-dtype and conv-activation sized.
-    """
-    if max(a.data.size, b.data.size) < MIN_POOL_ELEMS:
-        return ufunc(a.data, b.data), False
-    pool = pool_for_op(a, b)
-    if pool is None or a.data.dtype != b.data.dtype:
-        return ufunc(a.data, b.data), False
-    out = pool.acquire(np.broadcast_shapes(a.shape, b.shape), a.data.dtype)
-    ufunc(a.data, b.data, out=out)
-    return out, pool.owns(out)
+from repro.autograd.tensor import Tensor, make_op, unbroadcast
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out, pooled = _pooled_binary_out(a, b, np.add)
+    out = a.data + b.data
 
     def backward(grad: np.ndarray):
         return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
 
-    return make_op(out, (a, b), backward, "add", pooled_out=pooled)
+    return make_op(out, (a, b), backward, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out, pooled = _pooled_binary_out(a, b, np.subtract)
+    out = a.data - b.data
 
     def backward(grad: np.ndarray):
         return unbroadcast(grad, a.shape), unbroadcast(-grad, b.shape)
 
-    return make_op(out, (a, b), backward, "sub", pooled_out=pooled)
+    return make_op(out, (a, b), backward, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out, pooled = _pooled_binary_out(a, b, np.multiply)
+    out = a.data * b.data
 
     def backward(grad: np.ndarray):
         return (
@@ -58,7 +38,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             unbroadcast(grad * a.data, b.shape),
         )
 
-    return make_op(out, (a, b), backward, "mul", pooled_out=pooled)
+    return make_op(out, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -195,26 +175,13 @@ def quantize_ste(a: Tensor, scale: float, low: float, high: float) -> Tensor:
     as a single graph node — the STE gradients of the composite collapse to
     ``grad * (low <= a <= high)`` because the scale factors cancel.
     """
-    pool = pool_for_op(a)
-    if pool is not None:
-        # Same clip -> scale -> round -> rescale sequence as the allocating
-        # expression below, fused in place into one pooled buffer.
-        out = pool.acquire(a.shape, a.data.dtype)
-        np.clip(a.data, low, high, out=out)
-        out *= 1.0 / scale
-        np.round(out, out=out)
-        out *= scale
-    else:
-        out = np.round(np.clip(a.data, low, high) * (1.0 / scale)) * scale
+    out = np.round(np.clip(a.data, low, high) * (1.0 / scale)) * scale
 
     def backward(grad: np.ndarray):
         inside = (a.data >= low) & (a.data <= high)
         return (grad * inside,)
 
-    return make_op(
-        out, (a,), backward, "quantize_ste",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (a,), backward, "quantize_ste")
 
 
 def clip_ste(a: Tensor, low: float, high: float) -> Tensor:

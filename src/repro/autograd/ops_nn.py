@@ -1,30 +1,29 @@
 """Neural-network primitives: matmul, conv2d (grouped/depthwise), pooling,
-activations and log-softmax.
+activations and log-softmax, plus the out-buffer kernels of the runtime.
 
 ``conv2d`` is formulated on im2col/col2im: a stride-tricks window view of the
 input is reshaped into a column matrix and contracted against the flattened
 kernel with **one batched matmul** per convolution — no Python loops over
 kernel offsets or groups.  Dense, depthwise and grouped convolutions all run
-the same path (a depthwise conv is just ``groups == channels``).  The
-backward pass is two more matmuls: the weight gradient contracts the saved
-columns against the output gradient, and the input gradient is the standard
-transposed convolution (stride-dilated output gradient, full padding,
-spatially-flipped kernel) expressed through the same im2col helper.
+the same path (a depthwise conv is just ``groups == channels``), except that
+large stride-1 depthwise convolutions with 5x5+ kernels dispatch to a direct
+window-view kernel (:func:`_depthwise_direct`).  The backward pass is two
+more matmuls: the weight gradient contracts the saved columns against the
+output gradient, and the input gradient is the transposed convolution — one
+correlation of the stride-dilated output gradient with the flipped kernel
+(:func:`_conv_input_grad_dilated`) at stride 1 and for small problems, and
+its ``stride²`` dense phases (:func:`_conv_input_grad_phased`) otherwise.
 
 The original shift-and-accumulate implementation is retained as
 :func:`_reference_conv2d` — a slow, independently-written oracle used by the
-equivalence tests and the ``repro bench`` baseline measurements.
+equivalence tests.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.autograd.pool import get_pool
-from repro.autograd.tensor import Tensor, make_op, pool_for_op
+from repro.autograd.tensor import Tensor, make_op
 from repro.autograd.ops_shape import pad2d
 
 
@@ -80,22 +79,16 @@ def _window_view(x: np.ndarray, k_h: int, k_w: int, stride: int) -> np.ndarray:
 
 
 def _im2col(
-    x: np.ndarray, k_h: int, k_w: int, stride: int, groups: int,
-    out: np.ndarray | None = None,
+    x: np.ndarray, k_h: int, k_w: int, stride: int, groups: int
 ) -> tuple[np.ndarray, int, int]:
     """Column matrix (N, G, C_g*kH*kW, oH*oW) of ``x`` plus output dims.
 
     For 1x1 kernels at stride 1 (the MBConv expand/project hot path) the
-    reshape is a zero-copy view of a contiguous input.  ``out`` optionally
-    receives the materialised columns (shape ``(N, C, kH, kW, oH, oW)``,
-    typically a pooled scratch buffer) instead of a fresh allocation.
+    reshape is a zero-copy view of a contiguous input.
     """
     n, c, _, _ = x.shape
     view = _window_view(x, k_h, k_w, stride)
     out_h, out_w = view.shape[4], view.shape[5]
-    if out is not None:
-        np.copyto(out, view)
-        view = out
     cols = view.reshape(n, groups, (c // groups) * k_h * k_w, out_h * out_w)
     return cols, out_h, out_w
 
@@ -128,59 +121,36 @@ def _conv_input_grad_dilated(
     """Input gradient as one full correlation of the stride-dilated output
     gradient with the flipped kernel (im2col + one batched matmul).
 
-    This is the pre-phase-decomposition formulation, kept as the oracle for
-    the equivalence tests and the training bench: for ``stride > 1`` the
-    dilated canvas is mostly zeros, so the single big GEMM does ``stride²``
-    more multiplies than the non-zero structure requires.
-    :func:`_conv_input_grad` dispatches to it only for ``stride == 1``.
+    :func:`_conv_input_grad` runs it for every ``stride == 1`` gradient and
+    for strided ones below :data:`_PHASED_MIN_ELEMS`; the equivalence tests
+    also use it as the oracle of :func:`_conv_input_grad_phased`.  For
+    ``stride > 1`` the dilated canvas is mostly zeros, so the single big
+    GEMM does ``stride²`` more multiplies than the non-zero structure
+    requires.
     """
     n, c_in, h, w = x_shape
     c_out, c_in_g, k_h, k_w = w_data.shape
     out_h, out_w = grad.shape[2], grad.shape[3]
-    pool = get_pool()
 
     if k_h == 1 and k_w == 1 and stride == 1:
         padded = grad  # 1x1/s1: the dilate+pad stage is the identity
-        pad_scratch = None
     else:
         # One canvas fuses stride-dilation, full padding and the trailing
         # slack for input pixels the kernel never reached (zero gradient
         # there when (H - kH) % stride != 0): the dilated gradient lands at
         # positions (kH-1) + i*stride of an (H + kH - 1)-tall canvas.
-        zero_all = stride > 1  # dilation leaves zero gaps between rows
-        pad_scratch = pool.acquire(
-            (n, c_out, h + k_h - 1, w + k_w - 1), grad.dtype, zero=zero_all
-        )
-        if not zero_all:
-            # Stride 1: the interior is fully overwritten below, so only
-            # the full-padding border of a recycled buffer needs zeroing.
-            if k_h > 1:
-                pad_scratch[:, :, : k_h - 1, :] = 0.0
-                pad_scratch[:, :, k_h - 1 + out_h :, :] = 0.0
-            if k_w > 1:
-                rows = slice(k_h - 1, k_h - 1 + out_h)
-                pad_scratch[:, :, rows, : k_w - 1] = 0.0
-                pad_scratch[:, :, rows, k_w - 1 + out_w :] = 0.0
-        pad_scratch[
+        padded = np.zeros((n, c_out, h + k_h - 1, w + k_w - 1), dtype=grad.dtype)
+        padded[
             :,
             :,
             k_h - 1 : k_h - 1 + (out_h - 1) * stride + 1 : stride,
             k_w - 1 : k_w - 1 + (out_w - 1) * stride + 1 : stride,
         ] = grad
-        padded = pad_scratch
 
     _, w_t = _flipped_weight_t(w_data, groups)
-    col_scratch = None
-    if not (k_h == 1 and k_w == 1):
-        col_scratch = pool.acquire((n, c_out, k_h, k_w, h, w), grad.dtype)
-    cols, gh, gw = _im2col(padded, k_h, k_w, 1, groups, out=col_scratch)
+    cols, gh, gw = _im2col(padded, k_h, k_w, 1, groups)
     assert (gh, gw) == (h, w)
-    grad_x = np.matmul(w_t[None], cols).reshape(n, c_in, h, w)
-    if col_scratch is not None:
-        pool.release(col_scratch)
-    if pad_scratch is not None:
-        pool.release(pad_scratch)
-    return grad_x
+    return np.matmul(w_t[None], cols).reshape(n, c_in, h, w)
 
 
 def _conv_input_grad_phased(
@@ -211,7 +181,6 @@ def _conv_input_grad_phased(
     c_out, c_in_g, k_h, k_w = w_data.shape
     c_out_g = c_out // groups
     out_h, out_w = grad.shape[2], grad.shape[3]
-    pool = get_pool()
     grad_x = np.zeros((n, c_in, h, w), dtype=grad.dtype)
     # Only the flipped *view* is needed here — each phase builds its own
     # contiguous sub-kernel below, so the full transposed copy the dilated
@@ -236,9 +205,7 @@ def _conv_input_grad_phased(
                 continue
             canvas_h = t_h + ks_h - 1
             canvas_w = t_w + ks_w - 1
-            canvas = pool.acquire(
-                (n, c_out, canvas_h, canvas_w), grad.dtype, zero=True
-            )
+            canvas = np.zeros((n, c_out, canvas_h, canvas_w), dtype=grad.dtype)
             # Copy the grad window the sub-correlation can actually read
             # (canvas row v holds grad row v + delta); the rest of the
             # canvas stays zero padding.
@@ -251,21 +218,11 @@ def _conv_input_grad_phased(
             w_sub = np.ascontiguousarray(
                 flipped[:, :, :, d0_h::stride, d0_w::stride].transpose(0, 2, 1, 3, 4)
             ).reshape(groups, c_in_g, c_out_g * ks_h * ks_w)
-            col_scratch = (
-                None
-                if ks_h == 1 and ks_w == 1
-                else pool.acquire(
-                    (n, c_out, ks_h, ks_w, t_h, t_w), grad.dtype
-                )
-            )
-            cols, gh, gw = _im2col(canvas, ks_h, ks_w, 1, groups, out=col_scratch)
+            cols, gh, gw = _im2col(canvas, ks_h, ks_w, 1, groups)
             assert (gh, gw) == (t_h, t_w)
             grad_x[:, :, ph::stride, pw::stride] = np.matmul(
                 w_sub[None], cols
             ).reshape(n, c_in, t_h, t_w)
-            if col_scratch is not None:
-                pool.release(col_scratch)
-            pool.release(canvas)
     return grad_x
 
 
@@ -333,47 +290,17 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     # consuming the data batch) — that's the priciest half of the backward.
     need_input_grad = xp.requires_grad or xp.backward_fn is not None
 
-    pool = pool_for_op(xp, weight)
     if view_only or n * per_sample_bytes <= _COL_CHUNK_BYTES:
-        if pool is not None:
-            # Pooled hot path: route the forward through the out-buffer
-            # inference kernel (conv2d_into) so the output and the
-            # materialised columns are checked out of the BufferPool;
-            # backward retires them via the tape.
-            out_h = _conv_output_size(x_data.shape[2], k_h, stride)
-            out_w = _conv_output_size(x_data.shape[3], k_w, stride)
-            out = pool.acquire((n, c_out, out_h, out_w), x_data.dtype)
-            retire: tuple[np.ndarray, ...] = ()
-            if view_only:
-                cols = x_data.reshape(n, groups, col_len, out_h * out_w)
-                conv2d_into(
-                    x_data, w_data, stride=stride, groups=groups, out=out
-                )
-            else:
-                col6 = pool.acquire(
-                    (n, x_data.shape[1], k_h, k_w, out_h, out_w), x_data.dtype
-                )
-                conv2d_into(
-                    x_data, w_data, stride=stride, groups=groups, out=out,
-                    cols=col6,
-                )
-                cols = col6.reshape(n, groups, col_len, out_h * out_w)
-                retire = (col6,)
-        else:
-            cols, out_h, out_w = _im2col(x_data, k_h, k_w, stride, groups)
-            out = np.matmul(w_mat[None], cols).reshape(n, c_out, out_h, out_w)
-            retire = ()
+        cols, out_h, out_w = _im2col(x_data, k_h, k_w, stride, groups)
+        out = np.matmul(w_mat[None], cols).reshape(n, c_out, out_h, out_w)
 
         def backward(grad: np.ndarray):
             g = grad.reshape(n, groups, c_out_g, out_h * out_w)
             # dW: per-sample batched GEMM against the transposed-view columns
-            # (BLAS consumes the transpose directly), reduced over the batch,
-            # with the per-sample product in call-scoped pooled scratch.
-            bpool = get_pool()
-            gw_scratch = bpool.acquire((n, groups, c_out_g, col_len), grad.dtype)
-            np.matmul(g, cols.transpose(0, 1, 3, 2), out=gw_scratch)
-            grad_w = gw_scratch.sum(axis=0).reshape(w_data.shape)
-            bpool.release(gw_scratch)
+            # (BLAS consumes the transpose directly), reduced over the batch.
+            grad_w = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(
+                w_data.shape
+            )
             grad_x = (
                 _conv_input_grad(grad, w_data, x_data.shape, stride, groups)
                 if need_input_grad
@@ -381,36 +308,23 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
             )
             return grad_x, grad_w
 
-        return make_op(
-            out, (xp, weight), backward, op_name,
-            retire=retire, pooled_out=pool is not None and pool.owns(out),
-        )
+        return make_op(out, (xp, weight), backward, op_name)
 
     step = max(1, int(_COL_CHUNK_BYTES // per_sample_bytes))
     out_h = _conv_output_size(x_data.shape[2], k_h, stride)
     out_w = _conv_output_size(x_data.shape[3], k_w, stride)
-    out = (
-        pool.acquire((n, c_out, out_h, out_w), x_data.dtype)
-        if pool is not None
-        else np.empty((n, c_out, out_h, out_w), dtype=x_data.dtype)
-    )
+    out = np.empty((n, c_out, out_h, out_w), dtype=x_data.dtype)
     for start in range(0, n, step):
         chunk = x_data[start : start + step]
-        col6 = get_pool().acquire(
-            (chunk.shape[0], chunk.shape[1], k_h, k_w, out_h, out_w),
-            x_data.dtype,
-        )
-        cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups, out=col6)
+        cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups)
         np.matmul(
             w_mat[None], cols,
             out=out[start : start + step].reshape(
                 chunk.shape[0], groups, c_out_g, out_h * out_w
             ),
         )
-        get_pool().release(col6)
 
     def backward_chunked(grad: np.ndarray):
-        bpool = get_pool()
         grad_w = np.zeros((groups, c_out_g, col_len), dtype=w_data.dtype)
         grad_x = (
             np.empty(x_data.shape, dtype=x_data.dtype) if need_input_grad else None
@@ -419,26 +333,16 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
             sl = slice(start, start + step)
             chunk = x_data[sl]
             m = chunk.shape[0]
-            col6 = bpool.acquire(
-                (m, chunk.shape[1], k_h, k_w, out_h, out_w), x_data.dtype
-            )
-            cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups, out=col6)
+            cols, _, _ = _im2col(chunk, k_h, k_w, stride, groups)
             g = grad[sl].reshape(m, groups, c_out_g, out_h * out_w)
-            gw_scratch = bpool.acquire((m, groups, c_out_g, col_len), grad.dtype)
-            np.matmul(g, cols.transpose(0, 1, 3, 2), out=gw_scratch)
-            grad_w += gw_scratch.sum(axis=0)
-            bpool.release(gw_scratch)
-            bpool.release(col6)
+            grad_w += np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
             if grad_x is not None:
                 grad_x[sl] = _conv_input_grad(
                     grad[sl], w_data, chunk.shape, stride, groups
                 )
         return grad_x, grad_w.reshape(w_data.shape)
 
-    return make_op(
-        out, (xp, weight), backward_chunked, op_name,
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (xp, weight), backward_chunked, op_name)
 
 
 #: Below this much tap work (``N*C*oH*oW*kH*kW`` multiply-accumulates) the
@@ -446,17 +350,6 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
 #: the im2col GEMM overhead they avoid — dispatch accordingly (tests pin it
 #: to 0 to force the direct path at unit-test sizes).
 _DW_DIRECT_MIN_ELEMS = 100_000
-
-#: Environment kill-switch: ``REPRO_DW_DIRECT=0`` pins every depthwise
-#: convolution to the im2col path (mirrors ``REPRO_BATCHED_SOFT`` /
-#: ``REPRO_BUFFER_POOL``; the search bench uses it to time the pre-kernel
-#: baseline).
-DW_DIRECT_ENV = "REPRO_DW_DIRECT"
-
-
-def dw_direct_enabled() -> bool:
-    """Whether the direct depthwise kernel may be dispatched (default on)."""
-    return os.environ.get(DW_DIRECT_ENV, "1") != "0"
 
 
 def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
@@ -488,13 +381,7 @@ def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
     win = _window_view(x_data, k, k, 1)
     out_h, out_w = win.shape[4], win.shape[5]
     w2 = w_data.reshape(c, k, k)
-    pool = pool_for_op(xp, weight)
-    out = (
-        pool.acquire((n, c, out_h, out_w), x_data.dtype)
-        if pool is not None
-        else np.empty((n, c, out_h, out_w), dtype=x_data.dtype)
-    )
-    np.einsum("ncijhw,cij->nchw", win, w2, out=out)
+    out = np.einsum("ncijhw,cij->nchw", win, w2)
     need_input_grad = xp.requires_grad or xp.backward_fn is not None
 
     def backward(grad: np.ndarray):
@@ -502,19 +389,14 @@ def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
         if not need_input_grad:
             return None, grad_w
         grad_x = np.zeros(x_data.shape, dtype=grad.dtype)
-        bpool = get_pool()
-        scratch = bpool.acquire((n, c, out_h, out_w), grad.dtype)
+        scratch = np.empty((n, c, out_h, out_w), dtype=grad.dtype)
         for i in range(k):
             for j in range(k):
                 np.multiply(grad, w2[:, i, j][None, :, None, None], out=scratch)
                 grad_x[:, :, i : i + out_h, j : j + out_w] += scratch
-        bpool.release(scratch)
         return grad_x, grad_w
 
-    return make_op(
-        out, (xp, weight), backward, op_name,
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (xp, weight), backward, op_name)
 
 
 def conv2d(
@@ -557,7 +439,6 @@ def conv2d(
             stride == 1
             and k_h == k_w
             and k_h >= 5
-            and dw_direct_enabled()
             and x.shape[0] * c_in * k_h * k_w
             * _conv_output_size(x.shape[2] + 2 * padding, k_h, stride)
             * _conv_output_size(x.shape[3] + 2 * padding, k_w, stride)
@@ -599,9 +480,8 @@ def _reference_conv2d(
     This is the original implementation, kept verbatim — including its
     dense/depthwise/grouped dispatch — as an independently-written oracle:
     the equivalence tests check the vectorized kernels against it across
-    strides/groups/odd shapes, and ``repro bench`` uses it (under a float64
-    policy) as the faithful before-refactor baseline.  Semantics match
-    :func:`conv2d` exactly (same signature, same backward contract).
+    strides/groups/odd shapes.  Semantics match :func:`conv2d` exactly (same
+    signature, same backward contract).
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -837,20 +717,8 @@ def batch_norm2d(
     mean = x_data.mean(axis=(0, 2, 3))
     var = x_data.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
-    pool = pool_for_op(x, gamma, beta)
-    if pool is not None:
-        # Pooled path: the normalised temporary (kept for the backward) and
-        # the output both come from the BufferPool; same arithmetic order as
-        # the allocating expressions below, so results are bit-identical.
-        xhat = pool.acquire(x_data.shape, x_data.dtype)
-        np.subtract(x_data, mean[None, :, None, None], out=xhat)
-        xhat *= inv_std[None, :, None, None]
-        out = pool.acquire(x_data.shape, x_data.dtype)
-        np.multiply(gamma.data[None, :, None, None], xhat, out=out)
-        out += beta.data[None, :, None, None]
-    else:
-        xhat = (x_data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = (x_data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward(grad: np.ndarray):
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
@@ -864,47 +732,26 @@ def batch_norm2d(
         )
         return grad_x, grad_gamma, grad_beta
 
-    node = make_op(
-        out, (x, gamma, beta), backward, "batch_norm2d",
-        retire=(xhat,) if pool is not None and pool.owns(xhat) else (),
-        pooled_out=pool is not None and pool.owns(out),
-    )
-    return node, mean, var
+    return make_op(out, (x, gamma, beta), backward, "batch_norm2d"), mean, var
 
 
 def relu(x: Tensor) -> Tensor:
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x.data.dtype)
-        np.maximum(x.data, 0.0, out=out)
-    else:
-        out = np.maximum(x.data, 0.0)
+    out = np.maximum(x.data, 0.0)
 
     def backward(grad: np.ndarray):
         return (grad * (x.data > 0),)
 
-    return make_op(
-        out, (x,), backward, "relu",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,), backward, "relu")
 
 
 def relu6(x: Tensor) -> Tensor:
     """The MobileNet activation: ``min(max(x, 0), 6)``."""
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x.data.dtype)
-        np.clip(x.data, 0.0, 6.0, out=out)
-    else:
-        out = np.clip(x.data, 0.0, 6.0)
+    out = np.clip(x.data, 0.0, 6.0)
 
     def backward(grad: np.ndarray):
         return (grad * ((x.data > 0) & (x.data < 6)),)
 
-    return make_op(
-        out, (x,), backward, "relu6",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x,), backward, "relu6")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -1093,219 +940,3 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (out * (grad - inner),)
 
     return make_op(out, (x,), backward, "softmax")
-
-
-# -- multi-candidate (batched soft-mode) primitives ---------------------------
-#
-# Soft Gumbel supernet passes evaluate all M candidate operations of a block
-# on the *same* input.  These primitives let the block run as a handful of
-# stacked kernels instead of M small ones: candidate weights are stacked
-# along C_out (``stack_conv_weights`` — one conv with M*C_out channels, one
-# im2col + one GEMM), the shared residual is added to every candidate slice
-# in one node (``residual_add_shared``) and the Gumbel mixture
-# ``sum_m w_m * out_m`` collapses to ONE einsum tape node
-# (``mix_candidates``) instead of M muls + M-1 adds.  See
-# repro.nas.batched for the dispatch that buckets candidates and falls back
-# to the serial oracle.
-
-
-def stack_conv_weights(
-    weights: Sequence[Tensor], pad_to: int | None = None
-) -> Tensor:
-    """Stack M candidate conv weights along ``C_out`` into one kernel tensor.
-
-    Every weight is ``(c_out_m, c_in_g, k_m, k_m)`` with a shared ``c_in_g``;
-    the result is ``(sum_m c_out_m, c_in_g, K, K)`` with ``K = pad_to`` (or
-    the common kernel size).  Smaller (odd) kernels are zero-padded centred in
-    the K x K canvas — with "same" padding ``K // 2`` the padded kernel
-    computes exactly the same correlation as the original at ``k_m // 2``
-    (the extra taps multiply zeros), which is what lets mixed-kernel
-    candidates share one grouped conv.  Backward slices the gradient back to
-    each candidate's rows and centre window.
-    """
-    if not weights:
-        raise ValueError("stack_conv_weights requires at least one weight")
-    c_in_g = weights[0].shape[1]
-    kernels = [w.shape[2] for w in weights]
-    k_max = pad_to if pad_to is not None else max(kernels)
-    rows = [w.shape[0] for w in weights]
-    offsets = np.cumsum([0] + rows)
-    for w in weights:
-        if w.ndim != 4 or w.shape[1] != c_in_g or w.shape[2] != w.shape[3]:
-            raise ValueError(f"incompatible candidate weight shape {w.shape}")
-        if w.shape[2] > k_max or (k_max - w.shape[2]) % 2:
-            raise ValueError(
-                f"kernel {w.shape[2]} cannot be centred in a {k_max}x{k_max} canvas"
-            )
-    out = np.zeros(
-        (int(offsets[-1]), c_in_g, k_max, k_max), dtype=weights[0].data.dtype
-    )
-    for idx, w in enumerate(weights):
-        k = kernels[idx]
-        off = (k_max - k) // 2
-        out[offsets[idx] : offsets[idx + 1], :, off : off + k, off : off + k] = w.data
-
-    def backward(grad: np.ndarray):
-        grads = []
-        for idx in range(len(weights)):
-            k = kernels[idx]
-            off = (k_max - k) // 2
-            grads.append(
-                grad[
-                    offsets[idx] : offsets[idx + 1], :, off : off + k, off : off + k
-                ].copy()
-            )
-        return tuple(grads)
-
-    return make_op(out, tuple(weights), backward, "stack_conv_weights")
-
-
-def residual_add_shared(stacked: Tensor, shortcut: Tensor, copies: int) -> Tensor:
-    """Add one shared shortcut to every candidate slice of a stacked tensor.
-
-    ``stacked`` is ``(N, copies * C, H, W)`` — the batched evaluation of
-    ``copies`` candidates — and ``shortcut`` is the block input
-    ``(N, C, H, W)``.  Per-slice semantics match the serial path's
-    ``out_m + x`` bit-for-bit (same elementwise adds); the backward sums the
-    gradient over the candidate axis for the shortcut.
-    """
-    n, c_total, h, w = stacked.shape
-    if c_total % copies:
-        raise ValueError(f"{c_total} channels not divisible by {copies} copies")
-    c = c_total // copies
-    if shortcut.shape != (n, c, h, w):
-        raise ValueError(
-            f"shortcut shape {shortcut.shape} does not match slices of {stacked.shape}"
-        )
-    pool = pool_for_op(stacked, shortcut)
-    if pool is not None:
-        out = pool.acquire(stacked.shape, stacked.data.dtype)
-    else:
-        out = np.empty(stacked.shape, dtype=stacked.data.dtype)
-    np.add(
-        stacked.data.reshape(n, copies, c, h, w),
-        shortcut.data[:, None],
-        out=out.reshape(n, copies, c, h, w),
-    )
-
-    def backward(grad: np.ndarray):
-        return grad, grad.reshape(n, copies, c, h, w).sum(axis=1)
-
-    return make_op(
-        out, (stacked, shortcut), backward, "residual_add_shared",
-        pooled_out=pool is not None and pool.owns(out),
-    )
-
-
-def project_candidates(
-    x: Tensor, weights: Sequence[Tensor], sections: Sequence[int]
-) -> Tensor:
-    """Ragged-group pointwise projection: one node, per-candidate GEMMs.
-
-    ``x`` is ``(N, sum_m h_m, H, W)`` — candidate hidden activations stacked
-    along channels with (possibly differing) widths ``sections`` — and
-    ``weights[m]`` is candidate m's 1x1 projection ``(C_out, h_m, 1, 1)``
-    with a shared ``C_out``.  A uniform-width stack would be a plain grouped
-    conv, but grouped ``conv2d`` requires equal channels per group; this op
-    handles the ragged case by looping the per-candidate GEMMs *inside* one
-    tape node — the flops match the serial path exactly while M conv nodes
-    (each with pad/im2col/closure overhead) collapse into one.  Returns
-    ``(N, M * C_out, H, W)``.
-    """
-    if not weights or len(weights) != len(sections):
-        raise ValueError("need one projection weight per section")
-    n, c_total, h, w = x.shape
-    if sum(sections) != c_total:
-        raise ValueError(
-            f"sections {tuple(sections)} do not cover {c_total} input channels"
-        )
-    c_out = weights[0].shape[0]
-    for wt, h_m in zip(weights, sections):
-        if wt.shape != (c_out, h_m, 1, 1):
-            raise ValueError(
-                f"weight shape {wt.shape} does not match (C_out={c_out}, {h_m}, 1, 1)"
-            )
-    copies = len(weights)
-    offsets = np.cumsum([0] + list(sections))
-    l = h * w
-    x_data = x.data
-    pool = pool_for_op(x, *weights)
-    if pool is not None:
-        out = pool.acquire((n, copies * c_out, h, w), x_data.dtype)
-    else:
-        out = np.empty((n, copies * c_out, h, w), dtype=x_data.dtype)
-    for m, wt in enumerate(weights):
-        xm = x_data[:, offsets[m] : offsets[m + 1]].reshape(n, sections[m], l)
-        np.matmul(
-            wt.data.reshape(c_out, sections[m])[None],
-            xm,
-            out=out[:, m * c_out : (m + 1) * c_out].reshape(n, c_out, l),
-        )
-    need_input_grad = x.requires_grad or x.backward_fn is not None
-
-    def backward(grad: np.ndarray):
-        bpool = get_pool()
-        grad_x = (
-            np.empty(x_data.shape, dtype=x_data.dtype) if need_input_grad else None
-        )
-        grads_w = []
-        for m, wt in enumerate(weights):
-            h_m = sections[m]
-            w2d = wt.data.reshape(c_out, h_m)
-            xm = x_data[:, offsets[m] : offsets[m + 1]].reshape(n, h_m, l)
-            gm = grad[:, m * c_out : (m + 1) * c_out].reshape(n, c_out, l)
-            gw_scratch = bpool.acquire((n, c_out, h_m), grad.dtype)
-            np.matmul(gm, xm.transpose(0, 2, 1), out=gw_scratch)
-            grads_w.append(gw_scratch.sum(axis=0).reshape(wt.shape))
-            bpool.release(gw_scratch)
-            if grad_x is not None:
-                np.matmul(
-                    w2d.T[None],
-                    gm,
-                    out=grad_x[:, offsets[m] : offsets[m + 1]].reshape(n, h_m, l),
-                )
-        return (grad_x,) + tuple(grads_w)
-
-    return make_op(
-        out, (x,) + tuple(weights), backward, "project_candidates",
-        pooled_out=pool is not None and pool.owns(out),
-    )
-
-
-def mix_candidates(stacked: Tensor, weights: Tensor, copies: int) -> Tensor:
-    """Reduce a stacked candidate tensor to its Gumbel mixture in ONE node.
-
-    ``stacked`` is ``(N, copies * C, H, W)``; ``weights`` is the ``(copies,)``
-    slice of the block's Gumbel sample.  Computes
-    ``out = sum_m weights[m] * stacked[:, m*C:(m+1)*C]`` as a single einsum
-    tape node — the serial path spends ``copies`` muls plus ``copies - 1``
-    adds (2*copies - 1 tape nodes) on the same reduction.  Backward:
-    ``d stacked = w_m * grad`` per slice and ``d w_m = <grad, slice_m>``.
-    """
-    n, c_total, h, w = stacked.shape
-    if c_total % copies:
-        raise ValueError(f"{c_total} channels not divisible by {copies} copies")
-    if weights.shape != (copies,):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match {copies} candidates"
-        )
-    c = c_total // copies
-    stacked5 = stacked.data.reshape(n, copies, c, h, w)
-    pool = pool_for_op(stacked, weights)
-    if pool is not None:
-        out = pool.acquire((n, c, h, w), stacked.data.dtype)
-        np.einsum("m,nmchw->nchw", weights.data, stacked5, out=out)
-    else:
-        out = np.einsum("m,nmchw->nchw", weights.data, stacked5)
-
-    def backward(grad: np.ndarray):
-        grad_stacked = (
-            weights.data[None, :, None, None, None] * grad[:, None]
-        ).reshape(stacked.shape)
-        grad_w = np.einsum("nmchw,nchw->m", stacked5, grad)
-        return grad_stacked, grad_w
-
-    return make_op(
-        out, (stacked, weights), backward, "mix_candidates",
-        pooled_out=pool is not None and pool.owns(out),
-    )

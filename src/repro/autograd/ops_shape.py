@@ -6,7 +6,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, make_op, pool_for_op
+from repro.autograd.tensor import Tensor, make_op
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -47,25 +47,8 @@ def pad2d(a: Tensor, padding: int | tuple[int, int]) -> Tensor:
         return a
     h, w = a.shape[-2], a.shape[-1]
     # zeros + slice assignment: same result as np.pad without its per-call
-    # python overhead (this sits on the conv hot path).  The canvas comes
-    # from the BufferPool when the training pool is active — it is retired
-    # by the tape after the consuming conv's backward has read it.
-    pool = pool_for_op(a)
-    shape = a.shape[:-2] + (h + 2 * pad_h, w + 2 * pad_w)
-    if pool is not None:
-        # Recycled buffers carry stale data, but only the border needs
-        # zeroing — the interior is fully overwritten below.  Zeroing the
-        # four strips instead of the whole canvas keeps the pooled path
-        # from paying a full extra memset per conv.
-        out = pool.acquire(shape, a.data.dtype)
-        if pad_h:
-            out[..., :pad_h, :] = 0.0
-            out[..., pad_h + h :, :] = 0.0
-        if pad_w:
-            out[..., pad_h : pad_h + h, :pad_w] = 0.0
-            out[..., pad_h : pad_h + h, pad_w + w :] = 0.0
-    else:
-        out = np.zeros(shape, dtype=a.data.dtype)
+    # python overhead (this sits on the conv hot path).
+    out = np.zeros(a.shape[:-2] + (h + 2 * pad_h, w + 2 * pad_w), dtype=a.data.dtype)
     out[..., pad_h : pad_h + h, pad_w : pad_w + w] = a.data
 
     def backward(grad: np.ndarray):
@@ -75,10 +58,7 @@ def pad2d(a: Tensor, padding: int | tuple[int, int]) -> Tensor:
         ]
         return (grad[tuple(sl)],)
 
-    return make_op(
-        out, (a,), backward, "pad2d",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (a,), backward, "pad2d")
 
 
 def getitem(a: Tensor, index: Any) -> Tensor:

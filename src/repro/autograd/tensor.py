@@ -25,8 +25,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.autograd.pool import get_pool
-
 # Backward closures receive the gradient flowing into the op's output and
 # return one array (or None) per parent, already shaped like that parent.
 BackwardFn = Callable[[np.ndarray], Sequence[np.ndarray | None]]
@@ -110,10 +108,7 @@ class Tensor:
         never passes these.
     """
 
-    __slots__ = (
-        "data", "requires_grad", "grad", "parents", "backward_fn", "op_name",
-        "_retire", "_pooled_data",
-    )
+    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "op_name")
 
     def __init__(
         self,
@@ -131,11 +126,6 @@ class Tensor:
         self.parents = parents
         self.backward_fn = backward_fn
         self.op_name = op_name
-        # Buffer-pool bookkeeping (see repro.autograd.pool): scratch arrays
-        # to return when this tape node retires during backward, and whether
-        # ``data`` itself is a pooled buffer.
-        self._retire: tuple[np.ndarray, ...] = ()
-        self._pooled_data = False
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -170,31 +160,14 @@ class Tensor:
 
     # -- graph management ---------------------------------------------------
     def detach(self) -> "Tensor":
-        """A view of the same data cut off from the graph (dtype preserved).
-
-        If the data is a pooled scratch buffer (recycled when this node
-        retires during backward), the detached tensor gets its own copy so it
-        stays valid afterwards.
-        """
-        if self._pooled_data:
-            return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
+        """A view of the same data cut off from the graph (dtype preserved)."""
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def astype(self, dtype: Any) -> "Tensor":
-        """A graph-detached copy in ``dtype`` (explicit, never silent).
-
-        Like :meth:`detach`, pooled data is copied so the result stays valid
-        after backward recycles this node's buffer.
-        """
-        if self._pooled_data and np.dtype(dtype) == self.data.dtype:
-            return Tensor(self.data.copy(), requires_grad=False, dtype=dtype)
+        """A graph-detached copy in ``dtype`` (explicit, never silent)."""
         return Tensor(self.data, requires_grad=False, dtype=dtype)
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            # Pooled gradient buffers (see backward) go back to the free
-            # list here; release is a no-op for ordinary arrays.
-            get_pool().release(self.grad)
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -203,15 +176,6 @@ class Tensor:
         ``grad`` defaults to ones (for scalar losses that is the usual seed).
         Gradients accumulate (+=) into every reachable tensor that has
         ``requires_grad=True``, including intermediates.
-
-        Backward also *retires* each tape node right after its closure runs:
-        scratch buffers the forward checked out of the
-        :class:`repro.autograd.pool.BufferPool` (im2col columns, padded
-        inputs, pooled op outputs) are returned to the pool deterministically
-        — a node's consumers always retire before it, so nothing reachable
-        still reads them.  The root's data is swapped for a private copy
-        rather than invalidated (losses are read after backward), and leaves
-        are never pooled.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -223,12 +187,6 @@ class Tensor:
                     f"shape {self.data.shape}"
                 )
 
-        pool = get_pool()
-        # The root's memory must survive backward even when the root is a
-        # zero-copy view (reshape/flatten) of some pooled node's buffer:
-        # compare released buffers against the root's base, not just the
-        # root node itself.
-        root_base = self.data if self.data.base is None else self.data.base
         order = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in order:
@@ -237,52 +195,25 @@ class Tensor:
                 continue
             if node.requires_grad:
                 if node.grad is None:
-                    if pool.enabled:
-                        # Leaf gradients live until the optimiser consumes
-                        # them; zero_grad returns the buffer to the pool.
-                        buf = pool.acquire(node_grad.shape, node_grad.dtype)
-                        np.copyto(buf, node_grad)
-                        node.grad = buf
-                    else:
-                        node.grad = node_grad.copy()
-                elif pool.owns(node.grad):
-                    node.grad += node_grad
+                    node.grad = node_grad.copy()
                 else:
                     node.grad = node.grad + node_grad
-            if node.backward_fn is not None:
-                parent_grads = node.backward_fn(node_grad)
-                for parent, parent_grad in zip(node.parents, parent_grads):
-                    if parent_grad is None:
-                        continue
-                    if parent_grad.shape != parent.data.shape:
-                        raise RuntimeError(
-                            f"op {node.op_name!r} produced gradient of shape "
-                            f"{parent_grad.shape} for parent of shape "
-                            f"{parent.data.shape}"
-                        )
-                    existing = grads.get(id(parent))
-                    grads[id(parent)] = (
-                        parent_grad if existing is None else existing + parent_grad
+            if node.backward_fn is None:
+                continue
+            parent_grads = node.backward_fn(node_grad)
+            for parent, parent_grad in zip(node.parents, parent_grads):
+                if parent_grad is None:
+                    continue
+                if parent_grad.shape != parent.data.shape:
+                    raise RuntimeError(
+                        f"op {node.op_name!r} produced gradient of shape "
+                        f"{parent_grad.shape} for parent of shape "
+                        f"{parent.data.shape}"
                     )
-            # Retire the node: its backward ran and all consumers already
-            # retired, so its pooled scratch and pooled output can be
-            # recycled.  The root keeps a private copy of its data (losses
-            # are read after backward), so no buffer outlives the tape.
-            if node._retire:
-                for scratch in node._retire:
-                    pool.release(scratch)
-                node._retire = ()
-            if node._pooled_data:
-                node._pooled_data = False
-                pooled = node.data
-                base = pooled if pooled.base is None else pooled.base
-                if base is root_base:
-                    # The root reads this memory after backward (directly,
-                    # or through a view chain): give it a private copy
-                    # before the buffer goes back to the free lists.
-                    self.data = self.data.copy()
-                    root_base = None
-                pool.release(pooled)
+                existing = grads.get(id(parent))
+                grads[id(parent)] = (
+                    parent_grad if existing is None else existing + parent_grad
+                )
 
     # -- operator sugar (implementations live in the ops modules) -----------
     def __add__(self, other: Any) -> "Tensor":
@@ -389,64 +320,21 @@ def make_op(
     parents: tuple[Tensor, ...],
     backward_fn: BackwardFn,
     op_name: str,
-    retire: tuple[np.ndarray, ...] = (),
-    pooled_out: bool = False,
 ) -> Tensor:
     """Create an op-output tensor, respecting ``no_grad`` mode.
 
     The output participates in the graph only if grad mode is on and at least
     one parent (transitively) requires gradients.
-
-    ``retire`` names pooled scratch buffers (and ``pooled_out`` marks
-    ``out_data`` itself as pooled) to return to the
-    :class:`~repro.autograd.pool.BufferPool` when the node retires during
-    backward.  Ops obtain such buffers via :func:`pool_for_op`, which only
-    hands out the pool when the node will actually join the tape — if it
-    nevertheless does not (a race the defensive branch below covers), the
-    buffers are released immediately instead of leaking.
     """
     track = _grad_enabled and any(_needs_graph(p) for p in parents)
     if not track:
-        if retire or pooled_out:
-            pool = get_pool()
-            for scratch in retire:
-                pool.release(scratch)
         return Tensor(out_data, op_name=op_name)
-    out = Tensor(
+    return Tensor(
         out_data,
         parents=parents,
         backward_fn=backward_fn,
         op_name=op_name,
     )
-    if retire:
-        out._retire = tuple(retire)
-    if pooled_out:
-        if out.data is out_data:
-            out._pooled_data = True
-        else:
-            # The Tensor constructor coerced (copied) the buffer — e.g. a
-            # non-policy dtype slipped in.  Return the orphaned buffer now.
-            get_pool().release(out_data)
-    return out
-
-
-def pool_for_op(*parents: Tensor) -> "Any":
-    """The active :class:`~repro.autograd.pool.BufferPool`, or ``None``.
-
-    Ops use this as the single gate for pooled allocations: it returns the
-    thread's pool only when the pool is enabled **and** the op output will be
-    recorded on the tape for these parents (grad mode on, some parent needs
-    the graph) — the condition under which ``backward`` is guaranteed to
-    retire the node and return the buffers.
-    """
-    if not _grad_enabled:
-        return None
-    pool = get_pool()
-    if not pool.enabled:
-        return None
-    if any(_needs_graph(p) for p in parents):
-        return pool
-    return None
 
 
 def _needs_graph(t: Tensor) -> bool:

@@ -1,61 +1,31 @@
-"""Headless numerics benchmark suite (``repro bench``).
+"""Headless benchmark suites (``repro bench``).
 
-Measures the hot paths this library lives on and writes a machine-readable
-``BENCH_numerics.json`` so the performance trajectory is tracked per PR:
+Two suites, each writing a machine-readable report:
 
-* ``conv``      — conv2d forward+backward microbenchmarks over the supernet's
-  actual workload shapes (MBConv expand/depthwise/project, stem, grouped);
-* ``supernet``  — one bilevel weight step and one architecture step of
-  :class:`repro.core.cosearch.EDDSearcher`;
-* ``search``    — a small end-to-end ``repro.api.search()`` run, with the
-  engine's per-phase wall-clock split.
+* ``runtime`` (default) — ``Engine.run`` against the eval-mode
+  ``BuiltNetwork.forward`` across the zoo at batch 1/8/32, with parity and
+  arena footprint per model (``BENCH_runtime.json``);
+* ``serving`` — deterministic open-loop traffic replayed against a
+  :class:`~repro.runtime.fleet.ServingFleet` at increasing worker counts
+  (``BENCH_serving.json``).
 
-Every section reports the *current* implementation next to a faithful
-**pre-refactor baseline** emulated in-process: float64 tensor policy, the
-original shift-and-accumulate convolutions (:func:`_reference_conv2d`), the
-composite (unfused) BatchNorm and the composite straight-through
-fake-quantisation — i.e. the hot path exactly as it was before the fast
-numerics core landed.  Speedups are therefore measured in the same
-environment on the same machine, as like-for-like as an in-repo harness can
-make them.
+Search-step and epoch timing lives in the repository benchmark
+(``perfbench/``), which measures the default training path end to end and
+layer by layer.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import os
 import platform
 import time
-import tracemalloc
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.autograd import ops_nn
-from repro.autograd.ops_basic import clip_ste, round_ste
-from repro.autograd.pool import buffer_pool, get_pool
-from repro.autograd.tensor import Tensor, default_dtype, get_default_dtype, tensor
-
-# (batch, c_in, h, w, c_out, kernel, stride, padding, groups) — the conv
-# population of a supernet step at reduced scale ("r_") and at the paper's
-# MBConv widths ("p_"), plus a grouped-conv case (where the old
-# implementation looped over groups *and* offsets).
-CONV_CASES: dict[str, tuple[int, ...]] = {
-    "r_stem3x3_s2": (12, 3, 12, 12, 8, 3, 2, 1, 1),
-    "r_expand1x1": (12, 16, 6, 6, 64, 1, 1, 0, 1),
-    "r_dw3x3": (12, 64, 6, 6, 64, 3, 1, 1, 64),
-    "r_dw5x5_s2": (12, 64, 6, 6, 64, 5, 2, 2, 64),
-    "r_project1x1": (12, 64, 3, 3, 32, 1, 1, 0, 1),
-    "p_expand1x1": (12, 16, 12, 12, 96, 1, 1, 0, 1),
-    "p_dw3x3": (12, 96, 12, 12, 96, 3, 1, 1, 96),
-    "p_dw5x5": (12, 96, 12, 12, 96, 5, 1, 2, 96),
-    "p_project1x1": (12, 96, 12, 12, 32, 1, 1, 0, 1),
-    "dense3x3": (16, 32, 14, 14, 64, 3, 1, 1, 1),
-    "grouped3x3_g4": (16, 32, 14, 14, 64, 3, 1, 1, 4),
-}
+from repro.autograd.tensor import get_default_dtype
 
 
 def _median_seconds(fn: Callable[[], Any], repeats: int, warmup: int = 2) -> float:
@@ -67,211 +37,6 @@ def _median_seconds(fn: Callable[[], Any], repeats: int, warmup: int = 2) -> flo
         fn()
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
-
-
-# ------------------------------------------------------- baseline emulation
-def _composite_bn_forward(self, x):
-    """The pre-refactor BatchNorm2d.forward (unfused autograd composite)."""
-    if x.ndim != 4:
-        raise ValueError(f"BatchNorm2d expects NCHW input, got {x.shape}")
-    if self.training:
-        batch_mean = x.data.mean(axis=(0, 2, 3))
-        batch_var = x.data.var(axis=(0, 2, 3))
-        self.running_mean = (
-            (1.0 - self.momentum) * self.running_mean + self.momentum * batch_mean
-        )
-        self.running_var = (
-            (1.0 - self.momentum) * self.running_var + self.momentum * batch_var
-        )
-        mean_t = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean_t
-        var_t = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        inv_std = (var_t + self.eps) ** -0.5
-        normalised = centered * inv_std
-    else:
-        mean = self.running_mean.reshape(1, -1, 1, 1)
-        inv_std = 1.0 / np.sqrt(self.running_var.reshape(1, -1, 1, 1) + self.eps)
-        normalised = (x - Tensor(mean)) * Tensor(inv_std)
-    gamma = self.gamma.reshape(1, self.channels, 1, 1)
-    beta = self.beta.reshape(1, self.channels, 1, 1)
-    return normalised * gamma + beta
-
-
-def _composite_fake_quantize(x, bits, max_abs=None):
-    """The pre-refactor fake_quantize (clip_ste -> scale -> round_ste)."""
-    if bits >= 32:
-        return x
-    if bits < 2:
-        raise ValueError(f"cannot quantise to {bits} bits")
-    if max_abs is None:
-        max_abs = float(np.max(np.abs(x.data))) or 1.0
-    if max_abs < 1e-30:
-        return x
-    levels = float(2 ** (bits - 1) - 1)
-    scale = max_abs / levels
-    clipped = clip_ste(x, -max_abs, max_abs)
-    return round_ste(clipped * (1.0 / scale)) * scale
-
-
-@contextlib.contextmanager
-def pre_refactor_numerics() -> Iterator[None]:
-    """Emulate the pre-refactor hot path: float64 policy, loop convolutions,
-    composite BatchNorm and composite fake-quantisation."""
-    import repro.nas.network as network
-    import repro.nas.quantization as quantization
-    import repro.nas.supernet as supernet
-    from repro.nn.layers import BatchNorm2d
-
-    # Every module that imported fake_quantize by value needs its own patch.
-    quantize_holders = (quantization, supernet, network)
-    saved_quantize = [m.fake_quantize for m in quantize_holders]
-    saved = (ops_nn.conv2d, BatchNorm2d.forward)
-    ops_nn.conv2d = ops_nn._reference_conv2d
-    BatchNorm2d.forward = _composite_bn_forward
-    for module in quantize_holders:
-        module.fake_quantize = _composite_fake_quantize
-    try:
-        with default_dtype(np.float64):
-            yield
-    finally:
-        ops_nn.conv2d, BatchNorm2d.forward = saved
-        for module, original in zip(quantize_holders, saved_quantize):
-            module.fake_quantize = original
-
-
-# ------------------------------------------------------------------ sections
-def bench_conv(quick: bool = False) -> dict[str, Any]:
-    """Conv fwd+bwd per case: current vs pre-refactor, interleaved."""
-    repeats = 5 if quick else 15
-    rng = np.random.default_rng(2026)
-    cases = []
-    for name, (n, c_in, h, w, c_out, k, s, p, g) in CONV_CASES.items():
-        x = rng.normal(size=(n, c_in, h, w))
-        weight = rng.normal(size=(c_out, c_in // g, k, k))
-
-        def fwd_bwd(conv_fn):
-            xt = tensor(x, requires_grad=True)
-            wt = tensor(weight, requires_grad=True)
-            out = conv_fn(xt, wt, stride=s, padding=p, groups=g)
-            out.backward(np.ones(out.shape, dtype=xt.data.dtype))
-
-        current = _median_seconds(lambda: fwd_bwd(ops_nn.conv2d), repeats)
-
-        def baseline_once():
-            with default_dtype(np.float64):
-                fwd_bwd(ops_nn._reference_conv2d)
-
-        baseline = _median_seconds(baseline_once, max(3, repeats // 3))
-        cases.append({
-            "name": name,
-            "shape": {"batch": n, "c_in": c_in, "hw": h, "c_out": c_out,
-                      "kernel": k, "stride": s, "groups": g},
-            "current_ms": current * 1e3,
-            "baseline_ms": baseline * 1e3,
-            "current_ops_per_sec": 1.0 / current,
-            "speedup": baseline / current,
-        })
-    speedups = [c["speedup"] for c in cases]
-    return {
-        "cases": cases,
-        "geomean_speedup": float(np.exp(np.mean(np.log(speedups)))),
-        "total_speedup": float(
-            sum(c["baseline_ms"] for c in cases) / sum(c["current_ms"] for c in cases)
-        ),
-    }
-
-
-def _make_searcher():
-    from repro.core.config import EDDConfig
-    from repro.core.cosearch import EDDSearcher
-    from repro.data.synthetic import SyntheticTaskConfig, make_synthetic_task
-    from repro.nas.space import SearchSpaceConfig
-
-    space = SearchSpaceConfig.reduced(num_blocks=3, num_classes=6, input_size=12)
-    splits = make_synthetic_task(SyntheticTaskConfig(
-        num_classes=6, image_size=12, train_per_class=16, val_per_class=8,
-        test_per_class=8, seed=0,
-    ))
-    config = EDDConfig(target="fpga_pipelined", epochs=4, batch_size=12,
-                       seed=0, arch_start_epoch=1)
-    searcher = EDDSearcher(space, splits, config)
-    searcher.calibrate_alpha()
-    return searcher, splits
-
-
-def bench_supernet_step(quick: bool = False) -> dict[str, Any]:
-    """One bilevel weight step + one architecture step, current vs baseline."""
-    repeats = 4 if quick else 10
-
-    def measure():
-        searcher, splits = _make_searcher()
-        x, y = splits.train.images[:12], splits.train.labels[:12]
-        xv, yv = splits.val.images[:12], splits.val.labels[:12]
-        weight = _median_seconds(lambda: searcher.weight_step(x, y), repeats)
-        arch = _median_seconds(lambda: searcher.arch_step(xv, yv), repeats)
-        return weight, arch
-
-    weight_now, arch_now = measure()
-    with pre_refactor_numerics():
-        weight_base, arch_base = measure()
-    return {
-        "weight_step_ms": weight_now * 1e3,
-        "arch_step_ms": arch_now * 1e3,
-        "baseline_weight_step_ms": weight_base * 1e3,
-        "baseline_arch_step_ms": arch_base * 1e3,
-        "weight_step_speedup": weight_base / weight_now,
-        "arch_step_speedup": arch_base / arch_now,
-        "weight_steps_per_sec": 1.0 / weight_now,
-    }
-
-
-def bench_search(quick: bool = False) -> dict[str, Any]:
-    """End-to-end ``api.search()`` wall time, current vs baseline."""
-    from repro import api
-
-    request = api.SearchRequest(
-        target="fpga_pipelined",
-        epochs=2 if quick else 4,
-        blocks=2 if quick else 3,
-        seed=0,
-        batch_size=12,
-        arch_start_epoch=1,
-        name="bench",
-    )
-
-    def run() -> tuple[float, dict | None]:
-        start = time.perf_counter()
-        report = api.search(request)
-        return time.perf_counter() - start, report.result.phase_seconds
-
-    wall_now, phases = run()
-    with pre_refactor_numerics():
-        wall_base, _ = run()
-    return {
-        "epochs": request.epochs,
-        "blocks": request.blocks,
-        "wall_seconds": wall_now,
-        "baseline_wall_seconds": wall_base,
-        "speedup": wall_base / wall_now,
-        "phase_seconds": phases,
-    }
-
-
-def run_benchmarks(quick: bool = False) -> dict[str, Any]:
-    """Run every section; returns the JSON-serialisable report."""
-    return {
-        "meta": {
-            "quick": quick,
-            "suite": "numerics",
-            "dtype_policy": get_default_dtype().name,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "conv": bench_conv(quick),
-        "supernet": bench_supernet_step(quick),
-        "search": bench_search(quick),
-    }
 
 
 # ----------------------------------------------------- runtime bench suite
@@ -398,440 +163,6 @@ def render_runtime_report(report: dict[str, Any]) -> str:
     lines.append(
         f"\ngeomean batch-1 speedup: "
         f"{section['geomean_batch1_speedup']:.1f}x"
-    )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------- training bench suite
-#
-# ``repro bench --suite training`` -> BENCH_training.json.  The *pre-PR
-# baseline* for every section is the hot path exactly as PR 2/3 left it:
-# buffer pool disabled and stride>1 transposed-conv input gradients through
-# the dilate-then-correlate oracle.  The *current* path enables the pool and
-# the phase-decomposed gradients, i.e. the two training-side optimisations
-# this suite exists to track.
-
-#: (batch, c_in, h/w, c_out, kernel, stride, padding, groups, small) — the
-#: supernet's training conv population: search scale ("r_"), paper MBConv
-#: widths ("p_"), and retrain-scale batch-32 cases ("t_").  ``small`` marks
-#: the allocation-bound small-shape set the headline geomean covers.
-TRAINING_CONV_CASES: dict[str, tuple[int, int, int, int, int, int, int, int, bool]] = {
-    "r_expand1x1": (12, 16, 6, 64, 1, 1, 0, 1, True),
-    "r_dw3x3": (12, 64, 6, 64, 3, 1, 1, 64, True),
-    "r_dw5x5_s2": (12, 64, 6, 64, 5, 2, 2, 64, True),
-    "r_stem3x3_s2": (12, 3, 12, 8, 3, 2, 1, 1, True),
-    "p_expand1x1": (12, 16, 12, 96, 1, 1, 0, 1, True),
-    "p_dw3x3": (12, 96, 12, 96, 3, 1, 1, 96, True),
-    "p_dw5x5": (12, 96, 12, 96, 5, 1, 2, 96, True),
-    "p_dw3x3_s2": (12, 96, 12, 96, 3, 2, 1, 96, True),
-    "p_dw5x5_s2": (12, 96, 12, 96, 5, 2, 2, 96, True),
-    "p_project1x1": (12, 96, 12, 32, 1, 1, 0, 1, True),
-    "t_dw5x5_s2_b32": (32, 96, 14, 96, 5, 2, 2, 96, False),
-    "t_dense3x3_s2_b32": (32, 32, 14, 64, 3, 2, 1, 1, False),
-}
-
-#: (batch, c_in, c_out, h, kernel, stride, groups) — stride>1 input-gradient
-#: kernels timed head-to-head: phase decomposition vs the dilated oracle.
-TCONV_GRAD_CASES: dict[str, tuple[int, int, int, int, int, int, int]] = {
-    "dw3x3_s2": (12, 64, 64, 12, 3, 2, 64),
-    "dw5x5_s2": (12, 64, 64, 12, 5, 2, 64),
-    "dense3x3_s2": (16, 32, 64, 14, 3, 2, 1),
-    "dense3x3_s3": (16, 32, 64, 15, 3, 3, 1),
-    "dw5x5_s2_b32": (32, 96, 96, 14, 5, 2, 96),
-}
-
-
-@contextlib.contextmanager
-def _dilated_input_grads() -> Iterator[None]:
-    """Force stride>1 input gradients through the pre-PR dilated oracle."""
-    original = ops_nn._conv_input_grad
-
-    def dilated(grad, w_data, x_shape, stride, groups):
-        return ops_nn._conv_input_grad_dilated(grad, w_data, x_shape, stride, groups)
-
-    ops_nn._conv_input_grad = dilated
-    try:
-        yield
-    finally:
-        ops_nn._conv_input_grad = original
-
-
-def bench_training_conv(quick: bool = False) -> dict[str, Any]:
-    """Conv fwd+bwd per training case: pooled+phased vs the pre-PR baseline.
-
-    Each case runs a leaf-to-scalar step (persistent parameter-style leaves,
-    ``zero_grad`` per iteration, scalar root) so the measurement matches the
-    training loop's buffer lifecycle.  The headline is the geometric-mean
-    speedup over the small-shape (``small=True``) set ROADMAP calls
-    allocation-bound, with the full-set geomean reported alongside.
-    """
-    repeats = 6 if quick else 15
-    rng = np.random.default_rng(2026)
-    cases = []
-    for name, (n, c_in, h, c_out, k, s, p, g, small) in TRAINING_CONV_CASES.items():
-        if quick and not small:
-            continue
-        xt = tensor(rng.normal(size=(n, c_in, h, h)), requires_grad=True)
-        wt = tensor(rng.normal(size=(c_out, c_in // g, k, k)), requires_grad=True)
-
-        def fwd_bwd():
-            xt.zero_grad()
-            wt.zero_grad()
-            out = ops_nn.conv2d(xt, wt, stride=s, padding=p, groups=g)
-            out.sum().backward()
-
-        reps = max(3, repeats // 2) if n >= 32 else repeats
-        # Interleave baseline/current samples so allocator drift and box
-        # noise hit both sides equally.
-        with _dilated_input_grads(), buffer_pool(False):
-            fwd_bwd()
-        with buffer_pool(True):
-            fwd_bwd()
-        base_samples, cur_samples = [], []
-        for _ in range(reps):
-            with _dilated_input_grads(), buffer_pool(False):
-                start = time.perf_counter()
-                fwd_bwd()
-                base_samples.append(time.perf_counter() - start)
-            with buffer_pool(True):
-                start = time.perf_counter()
-                fwd_bwd()
-                cur_samples.append(time.perf_counter() - start)
-        baseline = float(np.median(base_samples))
-        current = float(np.median(cur_samples))
-        xt.zero_grad()
-        wt.zero_grad()
-        cases.append({
-            "name": name,
-            "small": small,
-            "shape": {"batch": n, "c_in": c_in, "hw": h, "c_out": c_out,
-                      "kernel": k, "stride": s, "groups": g},
-            "current_ms": current * 1e3,
-            "baseline_ms": baseline * 1e3,
-            "speedup": baseline / current,
-        })
-    small_speedups = [c["speedup"] for c in cases if c["small"]]
-    all_speedups = [c["speedup"] for c in cases]
-    return {
-        "cases": cases,
-        "geomean_speedup_small": float(np.exp(np.mean(np.log(small_speedups)))),
-        "geomean_speedup": float(np.exp(np.mean(np.log(all_speedups)))),
-    }
-
-
-def bench_tconv_grad(quick: bool = False) -> dict[str, Any]:
-    """Stride>1 transposed-conv input-grad kernels: phased vs dilated oracle.
-
-    This is the kernel-level view of the phase decomposition — the same
-    gradient computed both ways on identical inputs, plus the parity error
-    (summation-order tolerance only).
-    """
-    repeats = 8 if quick else 20
-    rng = np.random.default_rng(7)
-    cases = []
-    for name, (n, c_in, c_out, h, k, s, g) in TCONV_GRAD_CASES.items():
-        if quick and n >= 32:
-            continue
-        out_h = (h - k) // s + 1
-        grad = rng.normal(size=(n, c_out, out_h, out_h)).astype(get_default_dtype())
-        weight = rng.normal(size=(c_out, c_in // g, k, k)).astype(get_default_dtype())
-        x_shape = (n, c_in, h, h)
-        reps = max(3, repeats // 2) if n >= 32 else repeats
-        dilated = _median_seconds(
-            lambda: ops_nn._conv_input_grad_dilated(grad, weight, x_shape, s, g),
-            reps,
-        )
-        phased = _median_seconds(
-            lambda: ops_nn._conv_input_grad_phased(grad, weight, x_shape, s, g),
-            reps,
-        )
-        diff = float(np.max(np.abs(
-            ops_nn._conv_input_grad_phased(grad, weight, x_shape, s, g)
-            - ops_nn._conv_input_grad_dilated(grad, weight, x_shape, s, g)
-        )))
-        cases.append({
-            "name": name,
-            "stride": s,
-            "kernel": k,
-            "dilated_ms": dilated * 1e3,
-            "phased_ms": phased * 1e3,
-            "speedup": dilated / phased,
-            "max_abs_diff": diff,
-        })
-    speedups = [c["speedup"] for c in cases]
-    return {
-        "cases": cases,
-        "geomean_speedup": float(np.exp(np.mean(np.log(speedups)))),
-    }
-
-
-def _large_repro_blocks(snapshot: "tracemalloc.Snapshot", min_bytes: int) -> int:
-    """Count live traced blocks >= ``min_bytes`` allocated in repro code."""
-    count = 0
-    for trace in snapshot.traces:
-        if trace.size < min_bytes:
-            continue
-        frame = trace.traceback[0]
-        if "repro" in frame.filename:
-            count += 1
-    return count
-
-
-def _step_allocation_profile(searcher, x, y, pool_on: bool) -> dict[str, float]:
-    """Measure one weight step's heap behaviour under ``tracemalloc``.
-
-    Reported per step:
-
-    * ``forward_alloc_blocks`` — buffer-sized (>= 2 KiB) blocks allocated in
-      repro code during the forward that are still live when the graph is
-      complete; with the pool warm these come from free lists instead, so
-      the count is the direct measure of the "allocation-free" claim;
-    * ``peak_bytes`` — peak incremental traced memory over the full
-      forward+backward+update step.
-    """
-    from repro.nn.functional import cross_entropy
-
-    min_bytes = 2048
-    with buffer_pool(pool_on):
-        # Warm the pool and the allocator alike: every step Gumbel-samples a
-        # different candidate, so several steps are needed before the free
-        # lists cover the whole shape population.
-        for _ in range(6):
-            searcher.weight_step(x, y)
-        searcher.weight_optimizer.zero_grad()
-        searcher.arch_optimizer.zero_grad()
-        gc.collect()
-        tracemalloc.start(1)
-        try:
-            base = tracemalloc.take_snapshot()
-            sample = searcher.supernet.sample(
-                searcher.sampler, hard=searcher.config.hard_weight_step
-            )
-            logits = searcher.supernet(Tensor(x), sample=sample)
-            loss = cross_entropy(logits, y)
-            snap = tracemalloc.take_snapshot()
-            tracemalloc.reset_peak()
-            before_current, _ = tracemalloc.get_traced_memory()
-            loss.backward()
-            searcher.weight_optimizer.step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        forward_blocks = (
-            _large_repro_blocks(snap, min_bytes)
-            - _large_repro_blocks(base, min_bytes)
-        )
-        searcher.weight_optimizer.zero_grad()
-        searcher.arch_optimizer.zero_grad()
-    return {
-        "forward_alloc_blocks": int(forward_blocks),
-        "peak_bytes": int(max(0, peak - before_current)),
-    }
-
-
-def bench_training_step(quick: bool = False) -> dict[str, Any]:
-    """Supernet weight/arch step wall clock and allocation counts, pool
-    on vs off (pool on/off samples interleaved round-robin on one searcher
-    so box noise cancels; ``loss_parity`` is checked on two fresh searchers
-    driven through identical step sequences)."""
-    repeats = 6 if quick else 16
-
-    searcher, splits = _make_searcher()
-    x, y = splits.train.images[:12], splits.train.labels[:12]
-    xv, yv = splits.val.images[:12], splits.val.labels[:12]
-    for pool_on in (False, True):  # warm both modes
-        with buffer_pool(pool_on):
-            searcher.weight_step(x, y)
-            searcher.arch_step(xv, yv)
-    samples: dict[tuple[str, bool], list[float]] = {
-        (phase, mode): [] for phase in ("weight", "arch") for mode in (False, True)
-    }
-    for _ in range(repeats):
-        for pool_on in (False, True):
-            with buffer_pool(pool_on):
-                start = time.perf_counter()
-                searcher.weight_step(x, y)
-                samples[("weight", pool_on)].append(time.perf_counter() - start)
-                start = time.perf_counter()
-                searcher.arch_step(xv, yv)
-                samples[("arch", pool_on)].append(time.perf_counter() - start)
-    weight_off = float(np.median(samples[("weight", False)]))
-    weight_on = float(np.median(samples[("weight", True)]))
-    arch_off = float(np.median(samples[("arch", False)]))
-    arch_on = float(np.median(samples[("arch", True)]))
-
-    def parity_losses(pool_on: bool) -> list[float]:
-        fresh, fresh_splits = _make_searcher()
-        px, py = fresh_splits.train.images[:12], fresh_splits.train.labels[:12]
-        with buffer_pool(pool_on):
-            return [fresh.weight_step(px, py) for _ in range(3)]
-
-    losses_off = parity_losses(False)
-    losses_on = parity_losses(True)
-    allocs_off = _step_allocation_profile(searcher, x, y, False)
-    allocs_on = _step_allocation_profile(searcher, x, y, True)
-    pool_stats = get_pool().stats()
-    blocks_on = max(1, allocs_on["forward_alloc_blocks"])
-    return {
-        "weight_step_ms": weight_on * 1e3,
-        "arch_step_ms": arch_on * 1e3,
-        "baseline_weight_step_ms": weight_off * 1e3,
-        "baseline_arch_step_ms": arch_off * 1e3,
-        "weight_step_speedup": weight_off / weight_on,
-        "arch_step_speedup": arch_off / arch_on,
-        "loss_parity": losses_off == losses_on,
-        "allocations": {
-            "pool_off": allocs_off,
-            "pool_on": allocs_on,
-            "forward_alloc_reduction": (
-                allocs_off["forward_alloc_blocks"] / blocks_on
-            ),
-        },
-        "pool": pool_stats,
-    }
-
-
-def bench_training_search(quick: bool = False) -> dict[str, Any]:
-    """End-to-end ``api.search`` epoch, pool on vs off (env kill-switch).
-
-    Both runs share the request and seed, so the epoch histories must be
-    bit-identical (``loss_parity``); the timing difference is purely the
-    buffer pool's doing.
-    """
-    from repro import api
-
-    request = api.SearchRequest(
-        target="fpga_pipelined",
-        epochs=2 if quick else 4,
-        blocks=2 if quick else 3,
-        seed=0,
-        batch_size=12,
-        arch_start_epoch=1,
-        name="bench-training",
-    )
-
-    def run() -> tuple[float, list[float]]:
-        start = time.perf_counter()
-        report = api.search(request)
-        wall = time.perf_counter() - start
-        return wall, [
-            (r.train_loss, r.val_acc_loss, r.total_loss)
-            for r in report.result.history
-        ]
-
-    @contextlib.contextmanager
-    def pool_killed():
-        saved = os.environ.get("REPRO_BUFFER_POOL")
-        os.environ["REPRO_BUFFER_POOL"] = "0"
-        try:
-            yield
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_BUFFER_POOL", None)
-            else:
-                os.environ["REPRO_BUFFER_POOL"] = saved
-
-    rounds = 2  # alternate off/on twice even in quick mode: a single
-    # sample per mode is one noise spike away from a false regression.
-    walls_off, walls_on = [], []
-    history_off = history_on = None
-    for _ in range(rounds):  # alternate modes so drift cancels
-        with pool_killed():
-            wall, history_off = run()
-        walls_off.append(wall)
-        wall, history_on = run()
-        walls_on.append(wall)
-    wall_off = float(np.median(walls_off))
-    wall_on = float(np.median(walls_on))
-
-    def _same(a, b):
-        return all(
-            x == y or (np.isnan(x) and np.isnan(y))
-            for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-        )
-
-    return {
-        "epochs": request.epochs,
-        "blocks": request.blocks,
-        "wall_seconds": wall_on,
-        "baseline_wall_seconds": wall_off,
-        "epoch_seconds": wall_on / request.epochs,
-        "baseline_epoch_seconds": wall_off / request.epochs,
-        "speedup": wall_off / wall_on,
-        "loss_parity": len(history_off) == len(history_on)
-        and _same(history_off, history_on),
-    }
-
-
-def run_training_benchmarks(quick: bool = False) -> dict[str, Any]:
-    """Run the training suite; returns the ``BENCH_training.json`` payload."""
-    return {
-        "meta": {
-            "quick": quick,
-            "suite": "training",
-            "dtype_policy": get_default_dtype().name,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "conv": bench_training_conv(quick),
-        "tconv_grad": bench_tconv_grad(quick),
-        "step": bench_training_step(quick),
-        "search": bench_training_search(quick),
-    }
-
-
-def render_training_report(report: dict[str, Any]) -> str:
-    """Human-readable summary of :func:`run_training_benchmarks` output."""
-    lines = [
-        f"training bench (dtype={report['meta']['dtype_policy']}, "
-        f"numpy {report['meta']['numpy']}, quick={report['meta']['quick']})",
-        "",
-        f"{'conv case':20s} {'current':>10s} {'pre-PR':>10s} {'speedup':>8s}",
-    ]
-    for case in report["conv"]["cases"]:
-        lines.append(
-            f"{case['name']:20s} {case['current_ms']:8.2f}ms "
-            f"{case['baseline_ms']:8.2f}ms {case['speedup']:7.2f}x"
-        )
-    lines.append(
-        f"{'geomean (small set)':20s} {'':>10s} {'':>10s} "
-        f"{report['conv']['geomean_speedup_small']:7.2f}x"
-    )
-    lines.append(
-        f"{'geomean (all)':20s} {'':>10s} {'':>10s} "
-        f"{report['conv']['geomean_speedup']:7.2f}x"
-    )
-    lines += ["", f"{'tconv grad case':20s} {'phased':>10s} {'dilated':>10s} {'speedup':>8s}"]
-    for case in report["tconv_grad"]["cases"]:
-        lines.append(
-            f"{case['name']:20s} {case['phased_ms']:8.2f}ms "
-            f"{case['dilated_ms']:8.2f}ms {case['speedup']:7.2f}x"
-        )
-    step = report["step"]
-    allocs = step["allocations"]
-    lines += [
-        "",
-        f"weight step {step['weight_step_ms']:7.1f}ms "
-        f"(pool off {step['baseline_weight_step_ms']:.1f}ms, "
-        f"{step['weight_step_speedup']:.2f}x)  loss parity: {step['loss_parity']}",
-        f"arch step   {step['arch_step_ms']:7.1f}ms "
-        f"(pool off {step['baseline_arch_step_ms']:.1f}ms, "
-        f"{step['arch_step_speedup']:.2f}x)",
-        f"forward allocations: {allocs['pool_off']['forward_alloc_blocks']} -> "
-        f"{allocs['pool_on']['forward_alloc_blocks']} blocks "
-        f"({allocs['forward_alloc_reduction']:.1f}x fewer); "
-        f"step peak {allocs['pool_off']['peak_bytes'] / 2**20:.1f} -> "
-        f"{allocs['pool_on']['peak_bytes'] / 2**20:.1f} MiB",
-        f"pool: {step['pool']['hits']} hits / {step['pool']['misses']} misses, "
-        f"{step['pool']['pooled_bytes'] / 2**20:.1f} MiB parked",
-    ]
-    search = report["search"]
-    lines.append(
-        f"api.search ({search['epochs']} epochs, {search['blocks']} blocks) "
-        f"{search['epoch_seconds']:.2f}s/epoch (pool off "
-        f"{search['baseline_epoch_seconds']:.2f}s/epoch, "
-        f"{search['speedup']:.2f}x)  loss parity: {search['loss_parity']}"
     )
     return "\n".join(lines)
 
@@ -1061,512 +392,7 @@ def render_serving_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------- search bench suite
-#
-# ``repro bench --suite search`` -> BENCH_search.json: the batched soft-mode
-# evaluator (:mod:`repro.nas.batched`) against the serial per-candidate
-# oracle it replaces — per block shape at the paper's MBConv widths, over
-# full soft architecture steps, and over a bilevel epoch.  Serial numbers
-# come from the same binary with ``REPRO_BATCHED_SOFT=0``, so the comparison
-# is the kill-switch itself.  Weight steps sample hard architectures
-# (``hard_weight_step=True``), so only the architecture half of the epoch is
-# expected to move.
-
-#: Paper-width channels at CPU-benchmarkable spatial size: the per-block
-#: compute matches the N=20/M=9 search, only the resolution is scaled down.
-SEARCH_BENCH_SCALE = {"input_size": 32, "num_classes": 16}
-
-
-@contextlib.contextmanager
-def _env_flag(name: str, enabled: bool) -> Iterator[None]:
-    """Scoped environment toggle (restores the prior value)."""
-    saved = os.environ.get(name)
-    os.environ[name] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = saved
-
-
-@contextlib.contextmanager
-def _batched_soft(enabled: bool) -> Iterator[None]:
-    """Scoped ``REPRO_BATCHED_SOFT`` toggle (restores the prior value)."""
-    from repro.nas.batched import BATCHED_SOFT_ENV
-
-    with _env_flag(BATCHED_SOFT_ENV, enabled):
-        yield
-
-
-def _interleaved_min_cpu(
-    fns: "dict[str, Callable[[], Any]]", rounds: int, warmup: int = 1
-) -> dict[str, float]:
-    """Minimum CPU seconds per config, sampled in interleaved rounds.
-
-    Single-sample wall-clock comparisons on a shared box swing by 3x
-    between runs; sequential per-config sampling then attributes machine
-    noise to whichever config ran in the bad window.  Rotating through the
-    configs each round and taking the per-config minimum of
-    ``time.process_time()`` (CPU time is immune to scheduler gaps) makes
-    the serial/batched ratios reproducible to a few percent.
-    """
-    for fn in fns.values():
-        for _ in range(warmup):
-            fn()
-    samples: dict[str, list[float]] = {name: [] for name in fns}
-    for _ in range(rounds):
-        for name, fn in fns.items():
-            start = time.process_time()
-            fn()
-            samples[name].append(time.process_time() - start)
-    return {name: float(min(ts)) for name, ts in samples.items()}
-
-
-def _paper_width_supernet():
-    import dataclasses
-
-    from repro.nas.quantization import QuantizationConfig
-    from repro.nas.space import SearchSpaceConfig
-    from repro.nas.supernet import SuperNet
-
-    space = dataclasses.replace(
-        SearchSpaceConfig.paper_scale(), **SEARCH_BENCH_SCALE
-    )
-    net = SuperNet(space, quant=QuantizationConfig.fpga(), seed=0)
-    net.train()
-    return space, net
-
-
-def bench_search_blocks(quick: bool = False) -> dict[str, Any]:
-    """Soft mixture forward+backward per block shape, serial vs batched.
-
-    Walks the paper-scale supernet's stem and blocks once to capture each
-    block's real input activations, then times one representative block per
-    distinct ``(c_in, c_out, stride, resolution)`` shape through both the
-    serial oracle (``SuperNet._soft_mixture_serial``) and the batched
-    evaluator (:func:`repro.nas.batched.soft_block_mixture`).
-    """
-    from repro.nas.batched import soft_block_mixture
-    from repro.nas.gumbel import GumbelSoftmax
-
-    space, net = _paper_width_supernet()
-    sampler = GumbelSoftmax(seed=7)
-    sample = net.sample(sampler, hard=False)
-    rng = np.random.default_rng(0)
-    batch = 2 if quick else 4
-    x = Tensor(rng.standard_normal(
-        (batch, space.input_channels, space.input_size, space.input_size)
-    ))
-    # Stem prologue mirrors SuperNet.forward so block inputs are authentic.
-    out = net.stem_conv(x)
-    out = ops_nn.relu6(net.stem_dw_bn(
-        ops_nn.conv2d(out, net.stem_dw.weight, stride=1,
-                      padding=net.stem_dw.padding, groups=net.stem_dw.groups)
-    ))
-    out = net.stem_pw(out)
-    out = net.stem_out(out)
-    inputs: list[np.ndarray] = []
-    for i, row in enumerate(net._candidates):
-        inputs.append(out.data.copy())
-        out = net._soft_mixture_serial(i, row, out, sample)
-
-    representative: dict[tuple[int, int, int, int], int] = {}
-    for i in range(space.num_blocks):
-        key = (inputs[i].shape[1], space.block_channels[i],
-               space.block_strides[i], inputs[i].shape[2])
-        representative.setdefault(key, i)
-    params = [p for _, p in net.named_parameters()]
-    rounds = 2 if quick else 5
-    cases = []
-    for (c_in, c_out, stride, res), i in sorted(
-        representative.items(), key=lambda kv: kv[1]
-    ):
-        row = net._candidates[i]
-        xin = inputs[i]
-
-        def serial_once(i=i, row=row, xin=xin):
-            for p in params:
-                p.zero_grad()
-            y = net._soft_mixture_serial(i, row, Tensor(xin.copy()), sample)
-            y.backward(np.ones_like(y.data))
-
-        def batched_once(i=i, row=row, xin=xin):
-            for p in params:
-                p.zero_grad()
-            y = soft_block_mixture(i, row, Tensor(xin.copy()), sample, net.quant)
-            y.backward(np.ones_like(y.data))
-
-        timed = _interleaved_min_cpu(
-            {"serial": serial_once, "batched": batched_once}, rounds
-        )
-        cases.append({
-            "name": f"b{i:02d}_{c_in}to{c_out}_s{stride}_r{res}",
-            "serial_ms": timed["serial"] * 1e3,
-            "batched_ms": timed["batched"] * 1e3,
-            "speedup": timed["serial"] / timed["batched"],
-        })
-    geomean = float(np.exp(np.mean([np.log(c["speedup"]) for c in cases])))
-    return {"batch": batch, "cases": cases, "geomean_speedup": geomean}
-
-
-def _make_paper_searcher():
-    import dataclasses
-
-    from repro.core.config import EDDConfig
-    from repro.core.cosearch import EDDSearcher
-    from repro.data.synthetic import SyntheticTaskConfig, make_synthetic_task
-    from repro.nas.space import SearchSpaceConfig
-
-    space = dataclasses.replace(
-        SearchSpaceConfig.paper_scale(), **SEARCH_BENCH_SCALE
-    )
-    splits = make_synthetic_task(SyntheticTaskConfig(
-        num_classes=SEARCH_BENCH_SCALE["num_classes"],
-        image_size=SEARCH_BENCH_SCALE["input_size"],
-        train_per_class=2, val_per_class=2, test_per_class=1, seed=0,
-    ))
-    config = EDDConfig(target="fpga_pipelined", epochs=2, batch_size=4,
-                       seed=0, arch_start_epoch=0)
-    searcher = EDDSearcher(space, splits, config)
-    searcher.calibrate_alpha()
-    return searcher, splits
-
-
-def bench_search_arch_step(quick: bool = False) -> dict[str, Any]:
-    """Full soft architecture steps at paper widths, three configurations.
-
-    ``EDDSearcher.arch_step`` draws a soft sample (``hard_arch_step=False``)
-    and runs forward+backward over all M candidates of every block — the
-    exact workload this PR targets.  Three configurations separate the two
-    changes:
-
-    * ``pre_kernel_serial`` — serial evaluator with ``REPRO_DW_DIRECT=0``:
-      the pre-PR implementation;
-    * ``serial`` — serial evaluator with the direct depthwise kernel (the
-      always-on oracle as it now runs);
-    * ``batched`` — fused multi-candidate evaluator, direct kernel on.
-
-    Each configuration steps its own identically-seeded searcher; the
-    toggles wrap only the timed call, and the rounds interleave (see
-    :func:`_interleaved_min_cpu`).
-    """
-    from repro.autograd.ops_nn import DW_DIRECT_ENV
-
-    rounds = 2 if quick else 7
-    setups: dict[str, tuple[bool, bool]] = {
-        "pre_kernel_serial": (False, False),
-        "serial": (True, False),
-        "batched": (True, True),
-    }
-    searchers = {}
-    for name in setups:
-        searcher, splits = _make_paper_searcher()
-        xv = splits.val.images[:4]
-        yv = splits.val.labels[:4]
-        searchers[name] = (searcher, xv, yv)
-
-    def step(name: str):
-        dw_direct, batched = setups[name]
-        searcher, xv, yv = searchers[name]
-        with _env_flag(DW_DIRECT_ENV, dw_direct), _batched_soft(batched):
-            searcher.arch_step(xv, yv)
-
-    timed = _interleaved_min_cpu(
-        {name: (lambda name=name: step(name)) for name in setups}, rounds
-    )
-    return {
-        "pre_kernel_serial_ms": timed["pre_kernel_serial"] * 1e3,
-        "serial_ms": timed["serial"] * 1e3,
-        "batched_ms": timed["batched"] * 1e3,
-        "speedup": timed["serial"] / timed["batched"],
-        "kernel_speedup": timed["pre_kernel_serial"] / timed["serial"],
-        "total_speedup": timed["pre_kernel_serial"] / timed["batched"],
-    }
-
-
-def bench_search_epoch(quick: bool = False) -> dict[str, Any]:
-    """Bilevel epoch CPU time (weight steps + arch steps) per configuration.
-
-    Paper widths at truncated depth so a full epoch stays a CPU benchmark.
-    Weight steps use hard samples and are unaffected by the batched soft
-    path — but they do run the direct depthwise kernel, so the
-    ``pre_kernel_serial`` configuration (full mode only) shows the whole-PR
-    effect while ``serial`` vs ``batched`` isolates the soft-path change.
-    """
-    import dataclasses
-
-    from repro.core.config import EDDConfig
-    from repro.core.cosearch import EDDSearcher
-    from repro.data.synthetic import SyntheticTaskConfig, make_synthetic_task
-    from repro.nas.space import SearchSpaceConfig
-
-    space = dataclasses.replace(
-        SearchSpaceConfig.paper_scale(),
-        block_channels=(32, 40, 80, 96),
-        block_strides=(1, 2, 2, 1),
-        **SEARCH_BENCH_SCALE,
-    )
-    splits = make_synthetic_task(SyntheticTaskConfig(
-        num_classes=SEARCH_BENCH_SCALE["num_classes"],
-        image_size=SEARCH_BENCH_SCALE["input_size"],
-        train_per_class=1 if quick else 2,
-        val_per_class=1, test_per_class=1, seed=0,
-    ))
-    from repro.autograd.ops_nn import DW_DIRECT_ENV
-
-    batch = 8
-    setups: dict[str, tuple[bool, bool]] = {
-        "pre_kernel_serial": (False, False),
-        "serial": (True, False),
-        "batched": (True, True),
-    }
-    if quick:
-        del setups["pre_kernel_serial"]
-    searchers = {}
-    for name in setups:
-        config = EDDConfig(target="fpga_pipelined", epochs=2,
-                           batch_size=batch, seed=0, arch_start_epoch=0)
-        searcher = EDDSearcher(space, splits, config)
-        searcher.calibrate_alpha()
-        searchers[name] = searcher
-    train, val = splits.train, splits.val
-    steps: dict[str, int] = {}
-
-    def epoch(name: str):
-        dw_direct, batched = setups[name]
-        searcher = searchers[name]
-        n_w = n_a = 0
-        with _env_flag(DW_DIRECT_ENV, dw_direct), _batched_soft(batched):
-            for lo in range(0, len(train.labels), batch):
-                searcher.weight_step(train.images[lo:lo + batch],
-                                     train.labels[lo:lo + batch])
-                n_w += 1
-            for lo in range(0, len(val.labels), batch):
-                searcher.arch_step(val.images[lo:lo + batch],
-                                   val.labels[lo:lo + batch])
-                n_a += 1
-        steps["weight_steps"] = n_w
-        steps["arch_steps"] = n_a
-
-    timed = _interleaved_min_cpu(
-        {name: (lambda name=name: epoch(name)) for name in setups},
-        rounds=1 if quick else 2, warmup=0 if quick else 1,
-    )
-    result: dict[str, Any] = {
-        "blocks": space.num_blocks,
-        **steps,
-        "serial_seconds": timed["serial"],
-        "batched_seconds": timed["batched"],
-        "speedup": timed["serial"] / timed["batched"],
-    }
-    if "pre_kernel_serial" in timed:
-        result["pre_kernel_serial_seconds"] = timed["pre_kernel_serial"]
-        result["total_speedup"] = timed["pre_kernel_serial"] / timed["batched"]
-    return result
-
-
-def bench_search_parity(quick: bool = False) -> dict[str, Any]:
-    """Batched-vs-serial parity in float64: loss, every grad, every buffer.
-
-    Runs the same soft forward+backward through both evaluators on fresh
-    identically-seeded supernets (reduced space with a stride-2 block, with
-    and without skip candidates) and reports worst-case absolute
-    differences.  Only GEMM/sum association differs between the paths, so
-    the float64 tolerance is 1e-11; ``parity_ok`` is the CI guard.
-    """
-    import dataclasses
-
-    from repro.nas.gumbel import GumbelSoftmax
-    from repro.nas.quantization import QuantizationConfig
-    from repro.nas.space import SearchSpaceConfig
-    from repro.nas.supernet import SuperNet
-    from repro.nn.functional import cross_entropy
-
-    worst = {"loss": 0.0, "grad": 0.0, "buffer": 0.0}
-    with default_dtype(np.float64):
-        base = SearchSpaceConfig.reduced()
-        spaces = [base, dataclasses.replace(base, allow_skip=True)]
-        quants = [QuantizationConfig.fpga(), None]
-        rng = np.random.default_rng(42)
-        for space in spaces:
-            for quant in quants:
-                x = rng.standard_normal((3, 3, space.input_size,
-                                         space.input_size))
-                y = rng.integers(0, space.num_classes, size=3)
-                outs = {}
-                for batched in (False, True):
-                    with _batched_soft(batched):
-                        net = SuperNet(space, quant=quant, seed=0)
-                        net.train()
-                        sample = net.sample(GumbelSoftmax(seed=7), hard=False)
-                        loss = cross_entropy(net(Tensor(x.copy()),
-                                                 sample=sample), y)
-                        loss.backward()
-                        outs[batched] = (
-                            float(loss.data),
-                            {n: None if p.grad is None else p.grad.copy()
-                             for n, p in net.named_parameters()},
-                            {n: b.copy() for n, b in net.named_buffers()},
-                        )
-                l0, g0, b0 = outs[False]
-                l1, g1, b1 = outs[True]
-                worst["loss"] = max(worst["loss"], abs(l0 - l1))
-                for n in g0:
-                    if g0[n] is None or g1[n] is None:
-                        if g0[n] is not g1[n]:
-                            worst["grad"] = float("inf")
-                        continue
-                    worst["grad"] = max(
-                        worst["grad"], float(np.max(np.abs(g0[n] - g1[n])))
-                    )
-                for n in b0:
-                    worst["buffer"] = max(
-                        worst["buffer"], float(np.max(np.abs(b0[n] - b1[n])))
-                    )
-    tol = 1e-11
-    return {
-        "worst_loss_diff": worst["loss"],
-        "worst_grad_diff": worst["grad"],
-        "worst_buffer_diff": worst["buffer"],
-        "tolerance": tol,
-        "parity_ok": all(v <= tol for v in worst.values()),
-    }
-
-
-#: Honest reading of the committed numbers, embedded in the report: what
-#: sped the search up, what did not, and which candidates never batch.
-SEARCH_BENCH_NOTE = (
-    "Per-op profiling at paper widths showed the soft step is "
-    "compute-bound, not dispatch-bound: the depthwise stage alone was "
-    "~80% of backward time under the im2col path. The direct depthwise "
-    "kernel added with this change (REPRO_DW_DIRECT=0 reverts it) "
-    "delivers the arch-step speedup in 'kernel_speedup' and accelerates "
-    "serial soft, batched soft and hard weight steps alike; "
-    "'speedup' (batched vs the serial oracle, both with the kernel) is "
-    "therefore near 1.0 at paper widths, where arithmetic — identical in "
-    "both evaluators — dominates and fusing M dispatches buys little. "
-    "Fallbacks that always run serial: skip candidates, eval-mode "
-    "passes, and singleton kernel buckets (a space with one expansion "
-    "ratio per kernel batches nothing)."
-)
-
-
-def run_search_benchmarks(quick: bool = False) -> dict[str, Any]:
-    """Run the search suite; returns the ``BENCH_search.json`` payload."""
-    blocks = bench_search_blocks(quick)
-    arch = bench_search_arch_step(quick)
-    epoch = bench_search_epoch(quick)
-    parity = bench_search_parity(quick)
-    return {
-        "meta": {
-            "quick": quick,
-            "suite": "search",
-            "dtype_policy": get_default_dtype().name,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "note": SEARCH_BENCH_NOTE,
-        "blocks": blocks,
-        "arch_step": arch,
-        "epoch": epoch,
-        "parity": parity,
-    }
-
-
-def render_search_report(report: dict[str, Any]) -> str:
-    """Human-readable summary of :func:`run_search_benchmarks` output."""
-    lines = [
-        f"search bench (dtype={report['meta']['dtype_policy']}, "
-        f"numpy {report['meta']['numpy']}, quick={report['meta']['quick']})",
-        "",
-        f"{'block shape':26s} {'serial':>10s} {'batched':>10s} {'speedup':>8s}",
-    ]
-    for case in report["blocks"]["cases"]:
-        lines.append(
-            f"{case['name']:26s} {case['serial_ms']:8.1f}ms "
-            f"{case['batched_ms']:8.1f}ms {case['speedup']:7.2f}x"
-        )
-    lines.append(
-        f"{'geomean':26s} {'':>10s} {'':>10s} "
-        f"{report['blocks']['geomean_speedup']:7.2f}x"
-    )
-    arch = report["arch_step"]
-    epoch = report["epoch"]
-    parity = report["parity"]
-    lines += [
-        "",
-        f"soft arch step (paper widths) {arch['pre_kernel_serial_ms']:8.0f}ms "
-        f"pre-kernel -> {arch['serial_ms']:8.0f}ms serial -> "
-        f"{arch['batched_ms']:8.0f}ms batched",
-        f"  direct-dw-kernel speedup {arch['kernel_speedup']:.2f}x, "
-        f"batched vs serial oracle {arch['speedup']:.2f}x, "
-        f"total {arch['total_speedup']:.2f}x",
-        f"bilevel epoch ({epoch['blocks']} blocks, {epoch['weight_steps']}w+"
-        f"{epoch['arch_steps']}a steps) {epoch['serial_seconds']:.2f}s -> "
-        f"{epoch['batched_seconds']:.2f}s ({epoch['speedup']:.2f}x batched "
-        f"vs serial"
-        + (
-            f"; {epoch['total_speedup']:.2f}x vs pre-kernel"
-            if "total_speedup" in epoch
-            else ""
-        )
-        + "; weight steps are hard-sampled, kernel-affected only)",
-        f"float64 parity: loss {parity['worst_loss_diff']:.2e}, grad "
-        f"{parity['worst_grad_diff']:.2e}, buffers "
-        f"{parity['worst_buffer_diff']:.2e} (tol {parity['tolerance']:.0e}) "
-        f"-> {'OK' if parity['parity_ok'] else 'FAIL'}",
-        "",
-        f"note: {report['note']}",
-    ]
-    return "\n".join(lines)
-
-
 def write_report(report: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(report, indent=2) + "\n")
     return path
-
-
-def render_report(report: dict[str, Any]) -> str:
-    """Human-readable summary of :func:`run_benchmarks` output."""
-    lines = [
-        f"numerics bench (dtype={report['meta']['dtype_policy']}, "
-        f"numpy {report['meta']['numpy']}, quick={report['meta']['quick']})",
-        "",
-        f"{'conv case':16s} {'current':>10s} {'baseline':>10s} {'speedup':>8s}",
-    ]
-    for case in report["conv"]["cases"]:
-        lines.append(
-            f"{case['name']:16s} {case['current_ms']:8.2f}ms "
-            f"{case['baseline_ms']:8.2f}ms {case['speedup']:7.1f}x"
-        )
-    lines.append(
-        f"{'geomean':16s} {'':>10s} {'':>10s} "
-        f"{report['conv']['geomean_speedup']:7.1f}x"
-    )
-    sup = report["supernet"]
-    lines += [
-        "",
-        f"supernet weight step {sup['weight_step_ms']:7.1f}ms "
-        f"(baseline {sup['baseline_weight_step_ms']:.1f}ms, "
-        f"{sup['weight_step_speedup']:.1f}x)",
-        f"supernet arch step   {sup['arch_step_ms']:7.1f}ms "
-        f"(baseline {sup['baseline_arch_step_ms']:.1f}ms, "
-        f"{sup['arch_step_speedup']:.1f}x)",
-    ]
-    search = report["search"]
-    lines.append(
-        f"api.search ({search['epochs']} epochs, {search['blocks']} blocks) "
-        f"{search['wall_seconds']:.2f}s (baseline "
-        f"{search['baseline_wall_seconds']:.2f}s, {search['speedup']:.1f}x)"
-    )
-    if search.get("phase_seconds"):
-        shares = ", ".join(
-            f"{phase}={seconds:.2f}s"
-            for phase, seconds in search["phase_seconds"].items()
-        )
-        lines.append(f"  engine phases: {shares}")
-    return "\n".join(lines)

@@ -13,16 +13,11 @@ Commands
              batch several seeds in parallel (one record per seed plus an
              aggregate); ``--checkpoint-dir``/``--resume`` snapshot the
              search every N epochs and restart it bit-identically.
-``bench``    run a benchmark suite headlessly: ``--suite numerics`` writes
-             ``BENCH_numerics.json`` (conv fwd+bwd, supernet step,
-             end-to-end search vs the pre-refactor baseline);
-             ``--suite runtime`` writes ``BENCH_runtime.json``
-             (``Engine.run`` vs ``BuiltNetwork.forward`` across the zoo);
-             ``--suite serving`` writes ``BENCH_serving.json`` (traffic
-             replay against the fleet: throughput and tail latency vs
-             worker count); ``--suite search`` writes ``BENCH_search.json``
-             (batched soft-mode supernet evaluation vs the serial
-             per-candidate oracle, plus float64 parity).
+``bench``    run a benchmark suite headlessly: ``--suite runtime`` (the
+             default) writes ``BENCH_runtime.json`` (``Engine.run`` vs
+             ``BuiltNetwork.forward`` across the zoo); ``--suite serving``
+             writes ``BENCH_serving.json`` (traffic replay against the
+             fleet: throughput and tail latency vs worker count).
 ``compile``  lower a model into a static execution plan and save it to disk
              (``.npz``) for cold-start-free deployment.
 ``infer``    compile a model into the inference runtime and time
@@ -283,26 +278,14 @@ def _run_search(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro import bench
 
-    if args.suite == "runtime":
-        report = bench.run_runtime_benchmarks(quick=args.quick)
-        rendered = bench.render_runtime_report(report)
-        default_output = "BENCH_runtime.json"
-    elif args.suite == "serving":
+    if args.suite == "serving":
         report = bench.run_serving_benchmarks(quick=args.quick)
         rendered = bench.render_serving_report(report)
         default_output = "BENCH_serving.json"
-    elif args.suite == "training":
-        report = bench.run_training_benchmarks(quick=args.quick)
-        rendered = bench.render_training_report(report)
-        default_output = "BENCH_training.json"
-    elif args.suite == "search":
-        report = bench.run_search_benchmarks(quick=args.quick)
-        rendered = bench.render_search_report(report)
-        default_output = "BENCH_search.json"
     else:
-        report = bench.run_benchmarks(quick=args.quick)
-        rendered = bench.render_report(report)
-        default_output = "BENCH_numerics.json"
+        report = bench.run_runtime_benchmarks(quick=args.quick)
+        rendered = bench.render_runtime_report(report)
+        default_output = "BENCH_runtime.json"
     path = bench.write_report(report, args.output or default_output)
     if args.format == "json":
         _emit_json(report)
@@ -781,19 +764,13 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run a benchmark suite headlessly"
     )
     p_bench.add_argument("--quick", action="store_true",
-                         help="fewer repeats and a smaller search "
+                         help="fewer repeats and a shorter traffic replay "
                               "(CI smoke mode)")
-    p_bench.add_argument("--suite",
-                         choices=("numerics", "runtime", "serving",
-                                  "training", "search"),
-                         default="numerics",
-                         help="numerics: conv/supernet/search vs the "
-                              "pre-refactor baseline; runtime: Engine.run vs "
-                              "BuiltNetwork.forward across the zoo; training: "
-                              "buffer pool + phase-decomposed gradients vs "
-                              "the pre-PR training hot path; search: batched "
-                              "soft-mode supernet evaluation vs the serial "
-                              "oracle")
+    p_bench.add_argument("--suite", choices=("runtime", "serving"),
+                         default="runtime",
+                         help="runtime: Engine.run vs BuiltNetwork.forward "
+                              "across the zoo; serving: traffic replay "
+                              "against the fleet vs worker count")
     p_bench.add_argument("--output", default=None,
                          help="where to write the JSON report (default "
                               "BENCH_<suite>.json)")

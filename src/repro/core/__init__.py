@@ -11,7 +11,7 @@ from repro.core.checkpoint import (
 from repro.core.config import EDDConfig
 from repro.core.engine import EngineRun, EpochContext, SearchEngine
 from repro.core.loss import combined_loss
-from repro.core.cosearch import EDDSearcher, build_hardware_model, build_supernet
+from repro.core.cosearch import EDDSearcher, build_supernet
 from repro.core.parallel import ParallelEvaluator, evaluate_parallel
 from repro.core.results import (
     EpochRecord,
@@ -39,7 +39,6 @@ __all__ = [
     "EpochRecord",
     "SearchResult",
     "TrainResult",
-    "build_hardware_model",
     "build_supernet",
     "combined_loss",
     "evaluate_network",

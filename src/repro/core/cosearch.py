@@ -10,17 +10,13 @@ Bilevel stochastic gradient descent over the fused space ``{A, I}``:
 4. derive the argmax architecture, re-tune integer parallel factors, and
    hand the spec to the trainer for training from scratch.
 
-Target dispatch note: ``quantization_for_target`` and
-``build_hardware_model`` here are deprecated thin wrappers kept for
-backwards compatibility — targets/devices are registered and resolved in
-:mod:`repro.hw.registry`, and the supported high-level entry point is
-:mod:`repro.api`.
+Targets and devices are registered and resolved in :mod:`repro.hw.registry`;
+the supported high-level entry point is :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -36,7 +32,6 @@ from repro.hw.base import HardwareModel
 from repro.hw.fpga import FPGAModel
 from repro.nas.derive import derive_arch_spec
 from repro.nas.gumbel import GumbelSoftmax, TemperatureSchedule, perplexity
-from repro.nas.quantization import QuantizationConfig
 from repro.nas.space import SearchSpaceConfig
 from repro.nas.supernet import SampledArch, SuperNet
 from repro.nn.functional import cross_entropy
@@ -46,51 +41,12 @@ from repro.utils.log import get_logger
 logger = get_logger("core.cosearch")
 
 
-def quantization_for_target(target: str) -> QuantizationConfig:
-    """The paper's per-device quantisation menus (Sec. 6).
-
-    .. deprecated::
-        Thin wrapper kept for backwards compatibility; new code should call
-        :func:`repro.hw.registry.quantization_for_target` (or go through
-        ``repro.api``), where every target is registered exactly once.
-    """
-    warnings.warn(
-        "repro.core.cosearch.quantization_for_target is deprecated; use "
-        "repro.hw.registry.quantization_for_target instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return hw_registry.quantization_for_target(target)
-
-
 def build_supernet(space: SearchSpaceConfig, config: EDDConfig) -> SuperNet:
     return SuperNet(
         space,
         quant=hw_registry.quantization_for_target(config.target),
         seed=config.seed,
     )
-
-
-def build_hardware_model(
-    space: SearchSpaceConfig,
-    config: EDDConfig,
-    device: str | hw_registry.Device | None = None,
-) -> HardwareModel:
-    """Instantiate the device model matching ``config.target``.
-
-    .. deprecated::
-        Thin wrapper kept for backwards compatibility; new code should call
-        :func:`repro.hw.registry.build_hardware_model` (or go through
-        ``repro.api``).  Unknown targets raise ``ValueError`` listing the
-        registered names.
-    """
-    warnings.warn(
-        "repro.core.cosearch.build_hardware_model is deprecated; use "
-        "repro.hw.registry.build_hardware_model instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return hw_registry.build_hardware_model(space, config, device=device)
 
 
 class EDDSearcher:

@@ -30,7 +30,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.autograd.pool import buffer_pool
 from repro.core.results import EpochRecord
 from repro.obs.tracer import get_tracer
 
@@ -117,11 +116,6 @@ class SearchEngine:
         architecture steps read them, so the default is off and the training
         loader streams; a driver that needs the batches (bilevel order 2)
         switches this on.
-    use_buffer_pool:
-        Enable the :mod:`repro.autograd.pool` scratch-buffer pool for the
-        duration of :meth:`run` (default on; ``REPRO_BUFFER_POOL=0`` in the
-        environment overrides).  Step results are bit-identical either way —
-        the pool only changes where the hot path's arrays come from.
     callbacks:
         Called with every completed :class:`EpochRecord` (logging, live
         trajectory plots, checkpoint triggers, ...).
@@ -149,7 +143,6 @@ class SearchEngine:
         derive: Callable[[], Any] | None = None,
         perplexity_fn: Callable[[], float] | None = None,
         buffer_train_batches: bool = False,
-        use_buffer_pool: bool = True,
         callbacks: Sequence[EpochCallback] = (),
         divergence_guard: Any = None,
     ) -> None:
@@ -166,7 +159,6 @@ class SearchEngine:
         self.derive = derive
         self.perplexity_fn = perplexity_fn
         self.buffer_train_batches = buffer_train_batches
-        self.use_buffer_pool = use_buffer_pool
         self.callbacks = list(callbacks)
         self.divergence_guard = divergence_guard
         self.phase_seconds: dict[str, float] = dict.fromkeys(PHASES, 0.0)
@@ -231,125 +223,116 @@ class SearchEngine:
         self.phase_seconds = dict.fromkeys(PHASES, 0.0)
         self.phase_calls = dict.fromkeys(PHASES, 0)
         history: list[EpochRecord] = list(initial_history)
-        # The buffer pool turns the steps' per-op scratch allocations into
-        # checkout/checkin on persistent free lists — epoch k+1 trains in
-        # the arrays epoch k allocated (see repro.autograd.pool).
-        with buffer_pool(self.use_buffer_pool) as pool:
-            # A while-loop rather than range(): the divergence guard may
-            # roll the epoch counter *backwards* to replay from the last
-            # good checkpoint.
-            epoch = start_epoch
-            while epoch < self.epochs:
-                tracer = get_tracer()
-                epoch_start = tracer.clock() if tracer.enabled else 0.0
-                ctx = EpochContext(epoch=epoch)
-                if self.anneal is not None and self.anneal_at == "start":
-                    ctx.temperature = float(
-                        self._timed("anneal", lambda: self.anneal(epoch))
-                    )
-
-                if self.buffer_train_batches and self.arch_step is not None:
-                    ctx.train_batches = list(train_loader)
-                    train_losses = self._timed(
-                        "weight",
-                        lambda: [self.weight_step(x, y) for x, y in ctx.train_batches],
-                    )
-                else:
-                    # Stream the loader instead of holding a full epoch of data
-                    # in memory; only unrolled arch steps need the batch list.
-                    train_losses = self._timed(
-                        "weight",
-                        lambda: [self.weight_step(x, y) for x, y in train_loader],
-                    )
-
-                arch_stats: list[dict[str, float]] = []
-                if (
-                    self.arch_step is not None
-                    and val_loader is not None
-                    and epoch >= self.arch_start_epoch
-                ):
-                    def _arch_epoch() -> list[dict[str, float]]:
-                        stats = []
-                        for i, (x, y) in enumerate(val_loader):
-                            ctx.step = i
-                            stats.append(self.arch_step(x, y, ctx))
-                        return stats
-
-                    arch_stats = self._timed("arch", _arch_epoch)
-
-                if self.anneal is not None and self.anneal_at == "end":
-                    ctx.temperature = float(
-                        self._timed("anneal", lambda: self.anneal(epoch))
-                    )
-
-                def _mean(key: str) -> float:
-                    if not arch_stats:
-                        return float("nan")
-                    return float(np.mean([s[key] for s in arch_stats]))
-
-                record = EpochRecord(
-                    epoch=epoch,
-                    train_loss=float(np.mean(train_losses)) if train_losses else float("nan"),
-                    val_acc_loss=_mean("acc_loss"),
-                    perf_loss=_mean("perf_loss"),
-                    resource=_mean("resource"),
-                    total_loss=_mean("total_loss"),
-                    temperature=ctx.temperature,
-                    theta_perplexity=(
-                        float(self.perplexity_fn())
-                        if self.perplexity_fn is not None
-                        else float("nan")
-                    ),
+        # A while-loop rather than range(): the divergence guard may
+        # roll the epoch counter *backwards* to replay from the last
+        # good checkpoint.
+        epoch = start_epoch
+        while epoch < self.epochs:
+            tracer = get_tracer()
+            epoch_start = tracer.clock() if tracer.enabled else 0.0
+            ctx = EpochContext(epoch=epoch)
+            if self.anneal is not None and self.anneal_at == "start":
+                ctx.temperature = float(
+                    self._timed("anneal", lambda: self.anneal(epoch))
                 )
-                if self.divergence_guard is not None:
-                    reason = self.divergence_guard.check(
-                        record, arch_ran=bool(arch_stats)
+
+            if self.buffer_train_batches and self.arch_step is not None:
+                ctx.train_batches = list(train_loader)
+                train_losses = self._timed(
+                    "weight",
+                    lambda: [self.weight_step(x, y) for x, y in ctx.train_batches],
+                )
+            else:
+                # Stream the loader instead of holding a full epoch of data
+                # in memory; only unrolled arch steps need the batch list.
+                train_losses = self._timed(
+                    "weight",
+                    lambda: [self.weight_step(x, y) for x, y in train_loader],
+                )
+
+            arch_stats: list[dict[str, float]] = []
+            if (
+                self.arch_step is not None
+                and val_loader is not None
+                and epoch >= self.arch_start_epoch
+            ):
+                def _arch_epoch() -> list[dict[str, float]]:
+                    stats = []
+                    for i, (x, y) in enumerate(val_loader):
+                        ctx.step = i
+                        stats.append(self.arch_step(x, y, ctx))
+                    return stats
+
+                arch_stats = self._timed("arch", _arch_epoch)
+
+            if self.anneal is not None and self.anneal_at == "end":
+                ctx.temperature = float(
+                    self._timed("anneal", lambda: self.anneal(epoch))
+                )
+
+            def _mean(key: str) -> float:
+                if not arch_stats:
+                    return float("nan")
+                return float(np.mean([s[key] for s in arch_stats]))
+
+            record = EpochRecord(
+                epoch=epoch,
+                train_loss=float(np.mean(train_losses)) if train_losses else float("nan"),
+                val_acc_loss=_mean("acc_loss"),
+                perf_loss=_mean("perf_loss"),
+                resource=_mean("resource"),
+                total_loss=_mean("total_loss"),
+                temperature=ctx.temperature,
+                theta_perplexity=(
+                    float(self.perplexity_fn())
+                    if self.perplexity_fn is not None
+                    else float("nan")
+                ),
+            )
+            if self.divergence_guard is not None:
+                reason = self.divergence_guard.check(
+                    record, arch_ran=bool(arch_stats)
+                )
+                if reason is not None:
+                    # Diverged: drop the poisoned record, restore from
+                    # the last good checkpoint and replay.  recover()
+                    # raises once its rollback budget is spent.
+                    resume_epoch = int(
+                        self.divergence_guard.recover(epoch, reason)
                     )
-                    if reason is not None:
-                        # Diverged: drop the poisoned record, restore from
-                        # the last good checkpoint and replay.  recover()
-                        # raises once its rollback budget is spent.
-                        resume_epoch = int(
-                            self.divergence_guard.recover(epoch, reason)
+                    del history[resume_epoch:]
+                    if tracer.enabled:
+                        tracer.add_span(
+                            "search.rollback", epoch_start,
+                            tracer.clock() - epoch_start, cat="search",
+                            args={"epoch": epoch, "reason": reason,
+                                  "resume_epoch": resume_epoch},
                         )
-                        del history[resume_epoch:]
-                        if tracer.enabled:
-                            tracer.add_span(
-                                "search.rollback", epoch_start,
-                                tracer.clock() - epoch_start, cat="search",
-                                args={"epoch": epoch, "reason": reason,
-                                      "resume_epoch": resume_epoch},
-                            )
-                        pool.sweep()
-                        epoch = resume_epoch
-                        continue
+                    epoch = resume_epoch
+                    continue
 
-                history.append(record)
-                if tracer.enabled:
-                    tracer.add_span(
-                        "search.epoch", epoch_start,
-                        tracer.clock() - epoch_start, cat="search",
-                        args={"epoch": epoch},
-                    )
-                    # Counters skip non-finite values (pre-arch epochs report
-                    # NaN losses) inside Tracer.counter.
-                    tracer.counter("search.train_loss", record.train_loss,
-                                   cat="search")
-                    tracer.counter("search.total_loss", record.total_loss,
-                                   cat="search")
-                    tracer.counter("search.temperature", record.temperature,
-                                   cat="search")
-                for callback in self.callbacks:
-                    callback(record)
-                # Safety valve: buffers stranded by graphs that never ran
-                # backward (exception paths, eval forwards missing no_grad)
-                # rejoin the free lists once their graphs are collected.
-                pool.sweep()
-                epoch += 1
+            history.append(record)
+            if tracer.enabled:
+                tracer.add_span(
+                    "search.epoch", epoch_start,
+                    tracer.clock() - epoch_start, cat="search",
+                    args={"epoch": epoch},
+                )
+                # Counters skip non-finite values (pre-arch epochs report
+                # NaN losses) inside Tracer.counter.
+                tracer.counter("search.train_loss", record.train_loss,
+                               cat="search")
+                tracer.counter("search.total_loss", record.total_loss,
+                               cat="search")
+                tracer.counter("search.temperature", record.temperature,
+                               cat="search")
+            for callback in self.callbacks:
+                callback(record)
+            epoch += 1
 
-            derived = None
-            if self.derive is not None:
-                derived = self._timed("derive", self.derive)
+        derived = None
+        if self.derive is not None:
+            derived = self._timed("derive", self.derive)
         return EngineRun(
             history=history,
             phase_seconds=dict(self.phase_seconds),

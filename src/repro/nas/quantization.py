@@ -18,13 +18,12 @@ Three sharing modes mirror the paper's device constraints:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.autograd.ops_basic import quantize_ste
-from repro.autograd.tensor import Tensor, make_op, pool_for_op
+from repro.autograd.tensor import Tensor, make_op
 
 SHARING_MODES = ("per_block_op", "per_op", "global")
 
@@ -134,15 +133,9 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
     w_data = weights.data
     q = len(bitwidths)
     max_abs = float(np.max(np.abs(x_data))) or 1.0
-    pool = pool_for_op(x, weights)
-    if pool is not None:
-        paths = pool.acquire((q,) + x.shape, x_data.dtype)
-        out = pool.acquire(x.shape, x_data.dtype)
-        scratch = pool.acquire(x.shape, x_data.dtype)
-    else:
-        paths = np.empty((q,) + x.shape, dtype=x_data.dtype)
-        out = np.empty(x.shape, dtype=x_data.dtype)
-        scratch = np.empty(x.shape, dtype=x_data.dtype)
+    paths = np.empty((q,) + x.shape, dtype=x_data.dtype)
+    out = np.empty(x.shape, dtype=x_data.dtype)
+    scratch = np.empty(x.shape, dtype=x_data.dtype)
     for idx, bits in enumerate(bitwidths):
         dest = paths[idx]
         if bits >= 32 or max_abs < 1e-30:
@@ -163,8 +156,6 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
         else:
             np.multiply(dest, w_data[idx], out=scratch)
             out += scratch
-    if pool is not None:
-        pool.release(scratch)
 
     def backward(grad: np.ndarray):
         grad_w = np.empty(q, dtype=w_data.dtype)
@@ -173,190 +164,4 @@ def mixed_quantize(x: Tensor, weights: Tensor, bitwidths: tuple[int, ...]) -> Te
         grad_x = grad * w_data.sum()
         return grad_x, grad_w
 
-    return make_op(
-        out, (x, weights), backward, "mixed_quantize",
-        retire=(paths,) if pool is not None and pool.owns(paths) else (),
-        pooled_out=pool is not None and pool.owns(out),
-    )
-
-
-def mixed_quantize_stacked(
-    weights: "Sequence[Tensor]",
-    quant_weights: "Sequence[Tensor]",
-    bitwidths: tuple[int, ...],
-    pad_to: int | None = None,
-) -> Tensor:
-    """Quantise + stack M candidates' conv weights in ONE fused STE node.
-
-    The batched-soft-mode companion of :func:`mixed_quantize`: candidate
-    ``m``'s weight ``(c_out_m, c_in_g, k_m, k_m)`` is fake-quantised on each
-    of the Q paths with **its own** ``max_abs`` (exactly the per-tensor scale
-    the serial path uses), mixed under its ``(Q,)`` Gumbel slice
-    ``quant_weights[m]`` in the same accumulation order, and written into its
-    rows of one stacked kernel ``(sum_m c_out_m, c_in_g, K, K)``.  Smaller
-    kernels are zero-padded centred (see
-    :func:`repro.autograd.ops_nn.stack_conv_weights` for why that preserves
-    conv semantics).  Per candidate slice the arithmetic is bit-identical to
-    ``mixed_quantize``; one tape node replaces M of them plus the stack.
-
-    Backward uses the same straight-through identities per slice
-    (``dL/dw_m = grad_m * sum_q qw_m[q]``, ``dL/dqw_m[q] = <fq_q(w_m),
-    grad_m>``); a ``quant_weights`` tensor shared between candidates (the
-    ``per_op``/``global`` sharing modes) appears once per candidate in the
-    parent tuple and its gradient contributions accumulate.
-    """
-    if len(weights) != len(quant_weights) or not weights:
-        raise ValueError("need one quant-weight slice per candidate weight")
-    q = len(bitwidths)
-    for qw in quant_weights:
-        if qw.shape != (q,):
-            raise ValueError(
-                f"quant weights shape {qw.shape} does not match {q} bitwidths"
-            )
-    c_in_g = weights[0].shape[1]
-    kernels = [w.shape[2] for w in weights]
-    k_max = pad_to if pad_to is not None else max(kernels)
-    rows = [w.shape[0] for w in weights]
-    offsets = np.cumsum([0] + rows)
-    for w in weights:
-        if w.ndim != 4 or w.shape[1] != c_in_g or w.shape[2] != w.shape[3]:
-            raise ValueError(f"incompatible candidate weight shape {w.shape}")
-        if w.shape[2] > k_max or (k_max - w.shape[2]) % 2:
-            raise ValueError(
-                f"kernel {w.shape[2]} cannot be centred in a {k_max}x{k_max} canvas"
-            )
-    dtype = weights[0].data.dtype
-    shape = (int(offsets[-1]), c_in_g, k_max, k_max)
-    # Only mixed-kernel stacks have padding borders to zero; uniform stacks
-    # overwrite every element below.
-    needs_zero = any(k != k_max for k in kernels)
-    pool = pool_for_op(*weights, *quant_weights)
-    if pool is not None:
-        paths = pool.acquire((q,) + shape, dtype, zero=needs_zero)
-        out = pool.acquire(shape, dtype, zero=needs_zero)
-    elif needs_zero:
-        paths = np.zeros((q,) + shape, dtype=dtype)
-        out = np.zeros(shape, dtype=dtype)
-    else:
-        paths = np.empty((q,) + shape, dtype=dtype)
-        out = np.empty(shape, dtype=dtype)
-    for m, (wt, qw) in enumerate(zip(weights, quant_weights)):
-        x_data = wt.data
-        w_data = qw.data
-        k = kernels[m]
-        off = (k_max - k) // 2
-        window = (
-            slice(offsets[m], offsets[m + 1]), slice(None),
-            slice(off, off + k), slice(off, off + k),
-        )
-        max_abs = float(np.max(np.abs(x_data))) or 1.0
-        scratch = np.empty(x_data.shape, dtype=dtype)
-        out_slice = out[window]
-        for idx, bits in enumerate(bitwidths):
-            dest = paths[(idx,) + window]
-            if bits >= 32 or max_abs < 1e-30:
-                np.copyto(dest, x_data)  # the float path: quantisation is identity
-            else:
-                if bits < 2:
-                    raise ValueError(f"cannot quantise to {bits} bits")
-                levels = float(2 ** (bits - 1) - 1)
-                scale = max_abs / levels
-                # clip is the identity at the tensor's own max magnitude
-                # (see mixed_quantize) — scale straight from the source.
-                np.multiply(x_data, 1.0 / scale, out=dest)
-                np.rint(dest, out=dest)
-                dest *= scale
-            if idx == 0:
-                np.multiply(dest, w_data[0], out=out_slice)
-            else:
-                np.multiply(dest, w_data[idx], out=scratch)
-                out_slice += scratch
-
-    def backward(grad: np.ndarray):
-        grads_w = []
-        grads_qw = []
-        for m, qw in enumerate(quant_weights):
-            k = kernels[m]
-            off = (k_max - k) // 2
-            window = (
-                slice(offsets[m], offsets[m + 1]), slice(None),
-                slice(off, off + k), slice(off, off + k),
-            )
-            g_slice = grad[window]
-            grads_w.append(g_slice * qw.data.sum())
-            grad_qw = np.empty(q, dtype=qw.data.dtype)
-            for idx in range(q):
-                grad_qw[idx] = (g_slice * paths[(idx,) + window]).sum()
-            grads_qw.append(grad_qw)
-        return tuple(grads_w) + tuple(grads_qw)
-
-    return make_op(
-        out, tuple(weights) + tuple(quant_weights), backward,
-        "mixed_quantize_stacked",
-        retire=(paths,) if pool is not None and pool.owns(paths) else (),
-        pooled_out=pool is not None and pool.owns(out),
-    )
-
-
-def fake_quantize_sliced(x: Tensor, copies: int, bits: int) -> Tensor:
-    """Per-candidate activation fake-quantisation on channel slices.
-
-    ``x`` is a stacked ``(N, copies * C, H, W)`` evaluation of ``copies``
-    candidates; each slice is fake-quantised with **its own** ``max_abs``
-    (the slice's max magnitude — the same per-tensor scale
-    :func:`fake_quantize` derives on the serial path) in one fused STE node.
-    Slice arithmetic replicates :func:`repro.autograd.ops_basic.quantize_ste`
-    bit-for-bit, including the degenerate branches: an all-zero slice gets
-    ``max_abs = 1.0`` and a (sub)normal-range slice (max below ``1e-30``)
-    passes through as the identity with unmasked gradients.
-    """
-    if bits >= 32:
-        return x
-    if bits < 2:
-        raise ValueError(f"cannot quantise to {bits} bits")
-    n, c_total = x.shape[0], x.shape[1]
-    if c_total % copies:
-        raise ValueError(f"{c_total} channels not divisible by {copies} copies")
-    c = c_total // copies
-    x_data = x.data
-    levels = float(2 ** (bits - 1) - 1)
-    pool = pool_for_op(x)
-    if pool is not None:
-        out = pool.acquire(x.shape, x_data.dtype)
-    else:
-        out = np.empty(x.shape, dtype=x_data.dtype)
-    bounds: list[float | None] = []
-    for m in range(copies):
-        sl = slice(m * c, (m + 1) * c)
-        src = x_data[:, sl]
-        dest = out[:, sl]
-        max_abs = float(np.max(np.abs(src))) or 1.0
-        if max_abs < 1e-30:
-            np.copyto(dest, src)  # identity: the grid degenerates (see fake_quantize)
-            bounds.append(None)
-            continue
-        scale = max_abs / levels
-        # clip is the identity at the slice's own max magnitude (see
-        # mixed_quantize) — scale straight from the source slice.
-        np.multiply(src, 1.0 / scale, out=dest)
-        np.rint(dest, out=dest)
-        dest *= scale
-        bounds.append(max_abs)
-
-    def backward(grad: np.ndarray):
-        grad_x = np.empty_like(grad)
-        for m in range(copies):
-            sl = slice(m * c, (m + 1) * c)
-            max_abs = bounds[m]
-            if max_abs is None:
-                np.copyto(grad_x[:, sl], grad[:, sl])
-            else:
-                src = x_data[:, sl]
-                inside = (src >= -max_abs) & (src <= max_abs)
-                np.multiply(grad[:, sl], inside, out=grad_x[:, sl])
-        return (grad_x,)
-
-    return make_op(
-        out, (x,), backward, "fake_quantize_sliced",
-        pooled_out=pool is not None and pool.owns(out),
-    )
+    return make_op(out, (x, weights), backward, "mixed_quantize")

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.autograd import ops_nn
 from repro.autograd.tensor import Tensor
-from repro.nas.batched import batched_soft_enabled, soft_block_mixture
 from repro.nas.gumbel import GumbelSoftmax
 from repro.nas.quantization import QuantizationConfig, fake_quantize, mixed_quantize
 from repro.nn.layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Linear
@@ -294,12 +293,9 @@ class SuperNet(Module):
         *accuracy* gradient reaching Theta is weak in this mode (the
         performance gradient of Eqs. 4-5 is unaffected).  ``hard=False``
         evaluates all M candidates under soft Gumbel weights (FBNet-style),
-        giving Theta a full accuracy gradient.  Since the batched soft path
-        (:mod:`repro.nas.batched`, ``REPRO_BATCHED_SOFT``) fuses each
-        block's candidates into stacked kernels over the shared input, the
-        measured cost is well below the M-times-a-hard-pass of the naive
-        serial loop — ``BENCH_search.json`` records the serial-vs-batched
-        ratio per block shape on this box.  The co-search defaults to hard
+        giving Theta a full accuracy gradient at roughly M times the compute
+        and activation memory of a hard pass, since every candidate runs on
+        the block input one after another.  The co-search defaults to hard
         weight steps and soft architecture steps;
         ``benchmarks/bench_ablation_gumbel.py`` quantifies the trade-off.
         """
@@ -354,40 +350,22 @@ class SuperNet(Module):
                 gate = sample.op_weights[i, m]
                 out = row[m](out, quant_weights=quant_weights) * gate
             else:
-                # Weighted mode: Gumbel-soft mixture over all M candidates,
-                # the differentiable expectation matching Eqs. 2-5.  The
-                # batched path fuses each block's candidates into stacked
-                # kernels (repro.nas.batched); the serial loop below remains
-                # the always-on oracle and handles eval-mode passes (running
-                # BN statistics) and the REPRO_BATCHED_SOFT=0 kill switch.
-                if self.training and batched_soft_enabled():
-                    out = soft_block_mixture(i, row, out, sample, self.quant)
-                else:
-                    out = self._soft_mixture_serial(i, row, out, sample)
+                # Weighted mode: Gumbel-soft mixture over all M candidates in
+                # index order, the differentiable expectation of Eqs. 2-5.
+                mixed: Tensor | None = None
+                for m, candidate in enumerate(row):
+                    quant_weights = (
+                        sample.quant_slice(i, m) if self.quant is not None else None
+                    )
+                    term = candidate(out, quant_weights=quant_weights)
+                    term = term * sample.op_weights[i, m]
+                    mixed = term if mixed is None else mixed + term
+                assert mixed is not None
+                out = mixed
 
         out = self.head(out)
         out = ops_nn.global_avg_pool2d(out)
         return self.classifier(out)
-
-    def _soft_mixture_serial(
-        self, i: int, row: list[Module], x: Tensor, sample: SampledArch
-    ) -> Tensor:
-        """Serial per-candidate soft mixture — the batched path's oracle.
-
-        Evaluates candidate by candidate in index order (M small convs, M
-        muls, M-1 adds).  Kept verbatim as the reference semantics: the
-        batched evaluator falls back to it per candidate, and the parity
-        tests/benchmarks compare against it.
-        """
-        mixed: Tensor | None = None
-        for m, candidate in enumerate(row):
-            quant_weights = (
-                sample.quant_slice(i, m) if self.quant is not None else None
-            )
-            term = candidate(x, quant_weights=quant_weights) * sample.op_weights[i, m]
-            mixed = term if mixed is None else mixed + term
-        assert mixed is not None
-        return mixed
 
     # -- introspection ------------------------------------------------------------
     def theta_probabilities(self) -> np.ndarray:

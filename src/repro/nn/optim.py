@@ -33,8 +33,6 @@ def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
         scale = max_norm / (norm + 1e-12)
         for p in params:
             if p.grad is not None:
-                # In place: gradient buffers may be pool-owned (see
-                # repro.autograd.pool); rebinding would orphan them.
                 p.grad *= scale
     return norm
 

@@ -4,45 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import EDDConfig
-from repro.core.cosearch import (
-    EDDSearcher,
-    build_hardware_model,
-    build_supernet,
-    quantization_for_target,
-)
-from repro.hw.fpga import FPGAModel
-from repro.hw.gpu import GPUModel
-from repro.hw.accel import BitSerialAccelModel
+from repro.core.cosearch import EDDSearcher, build_supernet
 
 
 class TestBuilders:
-    def test_quantization_per_target(self):
-        # The cosearch-level wrappers are deprecated thin shims over
-        # repro.hw.registry; they must warn but keep working.
-        with pytest.warns(DeprecationWarning, match="quantization_for_target"):
-            assert quantization_for_target("gpu").sharing == "global"
-        with pytest.warns(DeprecationWarning):
-            assert quantization_for_target("fpga_recursive").sharing == "per_op"
-            assert quantization_for_target("fpga_pipelined").sharing == "per_block_op"
-            assert quantization_for_target("accel").sharing == "per_block_op"
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            quantization_for_target("tpu")
-
-    def test_hardware_model_per_target(self, tiny_space):
-        with pytest.warns(DeprecationWarning, match="build_hardware_model"):
-            assert isinstance(
-                build_hardware_model(tiny_space, EDDConfig(target="gpu")), GPUModel
-            )
-        with pytest.warns(DeprecationWarning):
-            rec = build_hardware_model(tiny_space, EDDConfig(target="fpga_recursive"))
-            assert isinstance(rec, FPGAModel) and rec.architecture == "recursive"
-            pipe = build_hardware_model(tiny_space, EDDConfig(target="fpga_pipelined"))
-            assert isinstance(pipe, FPGAModel) and pipe.architecture == "pipelined"
-            assert isinstance(
-                build_hardware_model(tiny_space, EDDConfig(target="accel")),
-                BitSerialAccelModel,
-            )
-
     def test_supernet_matches_target(self, tiny_space):
         net = build_supernet(tiny_space, EDDConfig(target="fpga_recursive"))
         assert net.quant.sharing == "per_op"

@@ -125,6 +125,35 @@ class TestEngineLoop:
                          anneal_at="middle")
 
 
+class TestTapeLifetime:
+    def test_kept_activation_survives_later_backward_passes(self):
+        """A step may keep a non-leaf tensor of its graph: later steps'
+        ``backward()`` calls must not reuse or overwrite its memory."""
+        from repro.autograd import ops_nn
+        from repro.autograd.tensor import tensor
+
+        rng = np.random.default_rng(0)
+        weight = tensor(rng.normal(size=(8, 4, 3, 3)), requires_grad=True)
+        kept = []
+
+        def weight_step(x, y):
+            act = ops_nn.relu6(ops_nn.conv2d(tensor(x), weight, padding=1))
+            kept.append((act, act.data.copy()))
+            loss = act.sum()
+            loss.backward()
+            weight.zero_grad()
+            return loss.item()
+
+        batches = [
+            (rng.normal(size=(2, 4, 8, 8)) * 3.0, np.zeros(2, dtype=int))
+            for _ in range(3)
+        ]
+        SearchEngine(epochs=1, weight_step=weight_step).run(batches)
+        assert len(kept) == 3
+        for act, before in kept:
+            np.testing.assert_array_equal(act.data, before)
+
+
 class TestTiming:
     def test_phase_accounting_covers_all_phases(self):
         engine = SearchEngine(

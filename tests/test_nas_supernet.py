@@ -1,5 +1,7 @@
 """Unit tests for the single-path supernet and joint sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,12 +112,38 @@ class TestForward:
         m = sample.op_indices[0]
         assert net.candidate(0, m).expand.weight.grad is not None
 
-    def test_soft_forward_gradients_reach_theta_strongly(self, net, sampler, batch):
+    @pytest.mark.parametrize(
+        "quant,allow_skip",
+        [
+            (QuantizationConfig.fpga(sharing="per_block_op"), False),
+            (QuantizationConfig.fpga(sharing="per_op"), False),
+            (QuantizationConfig.fpga(sharing="global"), False),
+            (None, False),
+            (QuantizationConfig.gpu(), False),
+            (QuantizationConfig.fpga(), True),
+        ],
+        ids=["per_block_op", "per_op", "global", "no_quant", "gpu", "skip"],
+    )
+    def test_soft_forward_gradients_reach_theta_strongly(
+        self, quant, allow_skip, tiny_space, sampler, batch
+    ):
+        """The soft mixture runs every candidate, so every candidate trains."""
+        space = dataclasses.replace(tiny_space, allow_skip=allow_skip)
+        net = SuperNet(space, quant=quant, seed=0)
         x, y = batch
         sample = net.sample(sampler, hard=False)
-        cross_entropy(net(x, sample=sample), y).backward()
+        loss = cross_entropy(net(x, sample=sample), y)
+        loss.backward()
+        assert np.isfinite(loss.item())
         assert np.abs(net.theta.grad).sum() > 1e-5
-        assert net.phi.grad is not None
+        if quant is None:
+            assert net.phi.grad is None
+        else:
+            assert np.abs(net.phi.grad).sum() > 0
+        for i in range(space.num_blocks):
+            for m in range(space.num_ops):
+                for param in net.candidate(i, m).parameters():
+                    assert param.grad is not None, (i, m)
 
     def test_soft_and_hard_agree_at_peaked_theta(self, tiny_space, sampler, rng):
         """With near-deterministic logits both modes compute the same net."""

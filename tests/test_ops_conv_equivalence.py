@@ -203,20 +203,6 @@ class TestDepthwiseDirectEquivalence:
         out.backward(np.ones(out.shape))
         assert w.grad is not None and np.abs(w.grad).sum() > 0
 
-    def test_kill_switch_pins_im2col(self, monkeypatch):
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        monkeypatch.setenv(ops_nn.DW_DIRECT_ENV, "0")
-
-        def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("REPRO_DW_DIRECT=0 must pin im2col")
-
-        monkeypatch.setattr(ops_nn, "_depthwise_direct", boom)
-        rng = np.random.default_rng(13)
-        x = tensor(rng.normal(size=(1, 3, 8, 8)), requires_grad=True)
-        w = tensor(rng.normal(size=(3, 1, 5, 5)), requires_grad=True)
-        out = conv2d(x, w, stride=1, padding=2, groups=3)
-        out.backward(np.ones(out.shape))
-
     @pytest.mark.parametrize("stride,k", [(2, 5), (1, 3)])
     def test_unprofitable_shapes_stay_on_im2col(self, stride, k, monkeypatch):
         """Strided and 3x3 depthwise convs lose with the tap loop - the

@@ -14,7 +14,6 @@ import pytest
 
 from repro.autograd import ops_nn
 from repro.autograd.gradcheck import gradcheck
-from repro.autograd.pool import buffer_pool
 from repro.autograd.tensor import default_dtype, tensor
 
 RNG = np.random.default_rng(42)
@@ -112,21 +111,6 @@ def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
             lambda a, b: ops_nn.conv2d(a, b, stride=stride, groups=groups),
             (x, w),
         )
-
-
-def test_phased_under_buffer_pool_matches_oracle():
-    """Pooled scratch must not change results (canvases are zeroed)."""
-    grad, weight, x_shape = _case(2, 4, 4, 9, 9, 3, 2, 4)
-    oracle = ops_nn._conv_input_grad_dilated(grad, weight, x_shape, 2, 4)
-    with buffer_pool(True):
-        # Dirty the pool so reused buffers carry garbage if not re-zeroed.
-        x = tensor(RNG.normal(size=(2, 4, 9, 9)), requires_grad=True)
-        w = tensor(RNG.normal(size=(4, 1, 3, 3)), requires_grad=True)
-        ops_nn.conv2d(x, w, stride=2, groups=4).sum().backward()
-        x.zero_grad()
-        w.zero_grad()
-        phased = ops_nn._conv_input_grad_phased(grad, weight, x_shape, 2, 4)
-    np.testing.assert_allclose(phased, oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_stride2_end_to_end_matches_reference():

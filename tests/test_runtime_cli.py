@@ -138,8 +138,12 @@ class TestCompileAndPlanCLI:
         assert main(["infer", "--plan", plan_path, "--compare"]) == 2
 
     def test_training_suite_choice(self):
-        args = build_parser().parse_args(["bench", "--suite", "training"])
-        assert args.suite == "training"
+        # Training-path timing lives in the repository benchmark; `repro
+        # bench` keeps only the runtime and serving suites.
+        assert build_parser().parse_args(["bench"]).suite == "runtime"
+        for suite in ("numerics", "training", "search"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "--suite", suite])
 
     def test_calibrate_from_serve_log(self, tmp_path, capsys):
         log = str(tmp_path / "serving.jsonl")

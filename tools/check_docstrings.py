@@ -136,12 +136,9 @@ def collect_missing() -> list[str]:
         if inspect.isclass(obj):
             missing.extend(_missing_in_class(obj, label))
 
-    # Training-hot-path surface: the autograd buffer pool, the serving-log
-    # calibration refit, and the batched soft-mode evaluator.
-    from repro.autograd import ops_nn
-    from repro.autograd import pool as autograd_pool
+    # Public names outside the __all__ lists: the fleet clock and the
+    # fault-injection helpers, and the serving-log calibration refit.
     from repro.hw import calibration
-    from repro.nas import batched, quantization
     from repro.resilience import testing as resilience_testing
     from repro.runtime.fleet import clock as fleet_clock
     from repro.runtime.fleet import testing as fleet_testing
@@ -153,19 +150,10 @@ def collect_missing() -> list[str]:
             "FaultInjected", "FaultyPayload", "FaultyTask", "attempts_made",
             "slow",
         )),
-        (autograd_pool, ("BufferPool", "buffer_pool", "get_pool")),
         (calibration, (
             "CalibrationFit", "fit_calibration_scale", "fit_from_serving_log",
             "append_serving_record", "load_serving_log", "apply_fit",
             "records_from_profile", "fit_from_profile",
-        )),
-        (ops_nn, (
-            "stack_conv_weights", "residual_add_shared", "mix_candidates",
-            "project_candidates", "dw_direct_enabled",
-        )),
-        (quantization, ("mixed_quantize_stacked", "fake_quantize_sliced")),
-        (batched, (
-            "batched_soft_enabled", "batch_norm_stacked", "soft_block_mixture",
         )),
     )
     for module, names in extra_names:
