@@ -10,9 +10,9 @@ response dataclasses plus the entry functions —
   the analytic device models in a single call;
 * :func:`deploy_plan` — render the per-layer implementation plan a hardware
   engineer would take from a network;
-* :func:`compile_model` / :func:`serve_plan` — lower a model into the
-  compiled inference runtime (:mod:`repro.runtime`) and optionally stand up
-  the micro-batching inference server.
+* :func:`compile_model` / :func:`serve_fleet` — lower a model into the
+  compiled inference runtime (:mod:`repro.runtime`) and optionally serve
+  one or many compiled models from a multi-worker fleet.
 
 Every response object has a ``to_dict()`` returning plain JSON-serialisable
 types (see :mod:`repro.utils.serialization`), which is what the CLI's
@@ -77,7 +77,6 @@ __all__ = [
     "search",
     "search_many",
     "serve_fleet",
-    "serve_plan",
     "targets",
     "trace_session",
     "zoo",
@@ -961,37 +960,6 @@ def compile_model(
     return Engine(compile_spec(arch, bits=bits, seed=seed))
 
 
-def serve_plan(
-    model: str | ArchSpec,
-    *,
-    bits: int | None = None,
-    seed: int | None = 0,
-    width_mult: float | None = None,
-    input_size: int | None = None,
-    num_classes: int | None = None,
-    max_batch: int = 8,
-    max_wait_ms: float = 2.0,
-):
-    """Compile ``model`` and stand up a micro-batching inference server.
-
-    The returned :class:`repro.runtime.serve.InferenceServer` coalesces
-    concurrent requests up to ``max_batch`` samples (waiting at most
-    ``max_wait_ms`` for stragglers) and records per-request latency; use it
-    as a context manager so the worker thread is torn down::
-
-        with api.serve_plan("MobileNet-V2", width_mult=0.1, input_size=16) as srv:
-            logits = srv.infer(x)
-            print(srv.stats())
-    """
-    from repro.runtime import InferenceServer
-
-    engine = compile_model(
-        model, bits=bits, seed=seed, width_mult=width_mult,
-        input_size=input_size, num_classes=num_classes,
-    )
-    return InferenceServer(engine, max_batch=max_batch, max_wait_ms=max_wait_ms)
-
-
 def serve_fleet(
     models: dict[str, str | ArchSpec] | list[str],
     *,
@@ -1007,12 +975,12 @@ def serve_fleet(
 ):
     """Compile ``models`` and stand up a multi-worker serving fleet.
 
-    The production tier above :func:`serve_plan`: one
-    :class:`repro.runtime.fleet.ServingFleet` hosts every compiled plan
-    behind ``submit(model, x)`` — ``workers`` workers share each plan's
-    baked weights through a single memmap, coalesce concurrent requests
-    into per-model batches, reject on a bounded queue (``max_queue``), and
-    shed deadline-expired requests before spending compute on them.
+    One :class:`repro.runtime.fleet.ServingFleet` hosts every compiled plan
+    behind ``submit(model, x)`` — a one-model list is the single-model
+    server.  ``workers`` workers share each plan's baked weights through a
+    single memmap, coalesce concurrent requests into per-model batches,
+    reject on a bounded queue (``max_queue``), and shed deadline-expired
+    requests before spending compute on them.
 
     Args:
         models: Either a mapping of serving name to zoo name/:class:`ArchSpec`,

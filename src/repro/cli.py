@@ -25,12 +25,12 @@ Commands
              ``--plan`` runs a previously saved plan instead;
              ``--profile`` prints a per-op table joining measured times
              against the analytic per-op prediction).
-``serve``    round-trip requests through the micro-batching inference
-             server and report per-request latency next to the analytic
-             device-model prediction (``--once`` for CI smoke).
-             ``--models a,b --workers N`` serves several models from one
-             multi-worker :class:`~repro.runtime.fleet.ServingFleet`
-             (shared baked weights, admission control, fleet stats);
+``serve``    round-trip requests through a multi-worker
+             :class:`~repro.runtime.fleet.ServingFleet` (shared baked
+             weights, admission control, fleet stats) and report each
+             model's latency next to the analytic device-model prediction
+             (``--once`` for CI smoke).  ``--model NAME`` serves one model,
+             ``--models a,b`` several from the same fleet;
              ``--trace-out`` records the request lifecycle as a Chrome
              trace, ``--metrics-out`` dumps Prometheus-style counters.
 ``trace``    inspect a trace file: ``trace summary`` prints the top ops by
@@ -332,7 +332,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.runtime.serve import latency_summary
+    from repro.runtime.fleet.metrics import latency_percentiles
 
     if args.runs < 1 or args.batch < 1:
         raise ValueError(
@@ -365,7 +365,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         "arena_reuse": engine.layout.reuse_factor,
         "batch": args.batch,
         "runs": args.runs,
-        "latency_ms": latency_summary(samples),
+        "latency_ms": latency_percentiles(samples),
         "output_shape": list(out.shape),
     }
     if args.compare:
@@ -390,7 +390,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             start = _time.perf_counter()
             net(xt, bits=args.bits)
             fwd.append((_time.perf_counter() - start) * 1e3)
-        forward_summary = latency_summary(fwd)
+        forward_summary = latency_percentiles(fwd)
         payload["compare"] = {
             "forward_latency_ms": forward_summary,
             "speedup": forward_summary["p50"] / payload["latency_ms"]["p50"],
@@ -433,9 +433,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("pass either --model or --models, not both")
     if not args.models and not args.model:
         raise ValueError("pass --model NAME or --models a,b,c")
-    if args.metrics_out and not args.models:
-        raise ValueError("--metrics-out reports fleet counters; it needs "
-                         "--models")
+    # --model NAME is the one-name form of --models.
+    names = [args.model] if args.model else [
+        name.strip() for name in args.models.split(",") if name.strip()
+    ]
+    if not names:
+        raise ValueError("--models needs at least one model name")
     requests = 1 if args.once else args.requests
     if requests < 1:
         raise ValueError(f"--requests must be >= 1, got {requests}")
@@ -460,10 +463,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     else:
                         stack.enter_context(
                             api.trace_session(chrome=args.trace_out))
-                if args.models:
-                    code = _serve_fleet(args, requests)
-                else:
-                    code = _serve_single(args, requests)
+                code = _serve_fleet(args, names, requests)
     except Preempted as err:
         print(f"\ninterrupted ({err.signame}); fleet drained, sinks flushed",
               file=sys.stderr)
@@ -473,70 +473,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return code
 
 
-def _serve_single(args: argparse.Namespace, requests: int) -> int:
-    """``repro serve --model``: the single-model micro-batching server."""
-    import numpy as np
-
-    from repro import api
-    from repro.hw.report import predicted_vs_measured
-    from repro.runtime import InferenceServer
-
-    engine = _runtime_engine(args)
-    rng = np.random.default_rng(args.seed or 0)
-    with InferenceServer(
-        engine, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-    ) as server:
-        handles = [
-            server.submit(rng.normal(size=engine.plan.input_shape))
-            for _ in range(requests)
-        ]
-        outputs = [h.result(timeout=60.0) for h in handles]
-        stats = server.stats()
-    spec = api._runtime_spec(args.model, args.width, args.input_size,
-                             args.classes)
-    comparison = predicted_vs_measured(
-        spec, args.target, stats["latency_ms"]["p50"],
-        device=args.device, bits=args.bits,
-    )
-    if args.calibration_log:
-        from repro.hw.calibration import append_serving_record
-
-        append_serving_record(args.calibration_log, comparison)
-    payload = {
-        "plan": engine.plan.to_dict(),
-        "requests": requests,
-        "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
-        "stats": stats,
-        "predicted_vs_measured": comparison,
-        "output_shape": list(outputs[0].shape),
-    }
-    if args.format == "json":
-        _emit_json(payload)
-        return 0
-    print(f"served {stats['requests']} request(s) in {stats['batches']} "
-          f"batch(es) (mean batch {stats['mean_batch']:.1f})")
-    lat = stats["latency_ms"]
-    print(f"latency p50 {lat['p50']:.2f} ms, p95 {lat['p95']:.2f} ms, "
-          f"max {lat['max']:.2f} ms")
-    predicted = comparison["predicted_ms"]
-    if predicted:
-        print(f"{comparison['target']}/{comparison['device']} predicts "
-              f"{predicted:.2f} ms/frame -> measured/predicted "
-              f"{comparison['measured_over_predicted']:.1f}x")
-    return 0
-
-
-def _serve_fleet(args: argparse.Namespace, requests: int) -> int:
-    """``repro serve --models a,b --workers N``: the multi-tenant fleet path."""
+def _serve_fleet(args: argparse.Namespace, names: list[str],
+                 requests: int) -> int:
+    """Serve ``requests`` random samples per model from one fleet; report."""
     import numpy as np
 
     from repro import api
     from repro.hw.report import predicted_vs_measured
 
-    names = [name.strip() for name in args.models.split(",") if name.strip()]
-    if not names:
-        raise ValueError("--models needs at least one model name")
     rng = np.random.default_rng(args.seed or 0)
     with api.serve_fleet(
         names,
@@ -839,35 +783,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.set_defaults(fn=_cmd_infer)
 
     p_serve = sub.add_parser(
-        "serve", help="serve a compiled model through the micro-batching queue"
+        "serve", help="serve compiled models from a multi-worker fleet"
     )
     add_runtime_model_args(p_serve, required=False)
     p_serve.add_argument("--models", default=None,
                          help="comma-separated model names: serve them all "
-                              "from one multi-worker fleet (instead of "
-                              "--model)")
+                              "from one fleet (--model NAME serves one)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="fleet worker count (with --models)")
+                         help="fleet worker count")
     p_serve.add_argument("--worker-kind", choices=("thread", "process"),
                          default="thread",
-                         help="fleet worker tier (with --models): 'thread' "
-                              "shares the GIL, 'process' cold-starts one "
-                              "child per worker from the shared weight "
-                              "memmaps for true core scaling")
+                         help="fleet worker tier: 'thread' shares the GIL, "
+                              "'process' cold-starts one child per worker "
+                              "from the shared weight memmaps for true core "
+                              "scaling")
     p_serve.add_argument("--max-queue", type=int, default=64,
-                         help="per-model admission bound before QueueFull "
-                              "(with --models)")
+                         help="per-model admission bound before QueueFull")
     p_serve.add_argument("--requests", type=int, default=8,
-                         help="number of random requests to round-trip "
-                              "(per model with --models)")
+                         help="number of random requests to round-trip per "
+                              "model")
     p_serve.add_argument("--once", action="store_true",
                          help="round-trip a single request and exit "
                               "(CI smoke mode)")
     p_serve.add_argument("--max-batch", type=int, default=8,
-                         help="micro-batch coalescing limit")
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                         help="max time to wait for stragglers after the "
-                              "first request of a batch")
+                         help="largest batch a worker coalesces from queued "
+                              "requests")
     p_serve.add_argument("--target", default="gpu", choices=target_names(),
                          help="hardware target for the predicted-vs-measured "
                               "comparison")
@@ -883,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "Perfetto; .jsonl: one event per line)")
     p_serve.add_argument("--metrics-out", default=None,
                          help="write a Prometheus-style text dump of the "
-                              "fleet counters here (with --models)")
+                              "fleet counters here")
     _add_format(p_serve)
     p_serve.set_defaults(fn=_cmd_serve)
 

@@ -20,9 +20,7 @@ raise a typed :class:`~repro.resilience.errors.CorruptCheckpoint` on
 truncation or bit-rot, and :func:`find_latest_checkpoint` skips corrupt
 files (with a warning) and falls back to the previous good epoch.
 Version-2 files (pre-checksum) still load and resume bit-identically;
-version-1 files (pre-RNG/history) restore parameters and optimiser state
-only, so their resumed trajectories are equivalent in distribution rather
-than bit-identical.
+version-1 files (pre-RNG/history) are rejected by :func:`load_checkpoint`.
 
 Typical use goes through :func:`repro.api.search` (``checkpoint_dir=...`` /
 ``resume=True``) or the CLI's ``repro search --checkpoint-dir ... --resume``;
@@ -212,11 +210,10 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
     """Restore state saved by :func:`save_checkpoint`; returns the epoch.
 
     The searcher must have been constructed with the same space/config
-    (shapes are validated parameter by parameter).  Version-2 checkpoints
-    additionally restore supernet buffers, the Gumbel sampler's RNG stream
-    and both loader shuffle streams, which is what makes a resumed search
-    bit-identical; version-1 files restore parameters and optimiser moments
-    only.
+    (shapes are validated parameter by parameter).  Besides parameters and
+    optimiser moments, the supernet buffers, the Gumbel sampler's RNG
+    stream and both loader shuffle streams are restored, which is what makes
+    a resumed search bit-identical.
 
     Args:
         searcher: Freshly constructed searcher matching the checkpointed one.
@@ -229,9 +226,15 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
         CorruptCheckpoint: If the file fails :func:`verify_checkpoint`
             (truncated, unreadable, or checksum mismatch).
         KeyError: If the checkpoint names a parameter the searcher lacks.
-        ValueError: If a stored array's shape does not match its parameter.
+        ValueError: If a stored array's shape does not match its parameter,
+            or the file predates format 2 (no RNG streams or history).
     """
-    verify_checkpoint(path)
+    version = verify_checkpoint(path)
+    if version < 2:
+        raise ValueError(
+            f"{path}: checkpoint format {version} predates the RNG and "
+            f"history capture of format 2 and can no longer be loaded"
+        )
     with np.load(Path(path)) as data:
         named = dict(searcher.supernet.named_parameters())
         for key in data.files:
@@ -265,14 +268,10 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
         if hasattr(searcher.hw_model, "alpha"):
             searcher.hw_model.alpha = float(data["meta::alpha"])
             searcher._alpha_calibrated = True
-        if "meta::temperature" in data.files:
-            searcher.sampler.temperature = float(data["meta::temperature"])
-        if "rng::sampler" in data.files:
-            restore_rng_state(searcher.sampler.rng, data["rng::sampler"])
-        if "rng::train_loader" in data.files:
-            searcher.train_loader.set_rng_state(data["rng::train_loader"])
-        if "rng::val_loader" in data.files:
-            searcher.val_loader.set_rng_state(data["rng::val_loader"])
+        searcher.sampler.temperature = float(data["meta::temperature"])
+        restore_rng_state(searcher.sampler.rng, data["rng::sampler"])
+        searcher.train_loader.set_rng_state(data["rng::train_loader"])
+        searcher.val_loader.set_rng_state(data["rng::val_loader"])
         return int(data["meta::epoch"])
 
 
@@ -309,8 +308,8 @@ def restore_search_state(searcher: EDDSearcher, path: str | Path) -> SearchCheck
     path = Path(path)
     epoch = load_checkpoint(searcher, path)
     with np.load(path) as data:
-        rows = data["hist::records"] if "hist::records" in data.files else None
-    history = _history_from_array(rows) if rows is not None and rows.size else []
+        rows = data["hist::records"]
+    history = _history_from_array(rows) if rows.size else []
     return SearchCheckpoint(path=path, epoch=epoch, history=history)
 
 

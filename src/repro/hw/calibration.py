@@ -108,9 +108,9 @@ def verify_anchors() -> dict[str, tuple[float, float, bool]]:
 #
 # The anchors above pin the device constants to the *paper's* hardware.  The
 # compiled runtime produces a second source of truth: real latencies measured
-# by Engine / InferenceServer on whatever machine is serving
+# by the serving fleet on whatever machine is serving
 # (``repro serve --calibration-log`` appends one ``predicted_vs_measured``
-# record per run).  ``fit_calibration_scale`` closes the loop — it refits each
+# record per served model).  ``fit_calibration_scale`` closes the loop — it refits each
 # device's ``calibration_scale`` so the analytic model predicts the serving
 # log instead of the paper, which is exactly how the paper's constants were
 # obtained in the first place.

@@ -13,10 +13,10 @@ wedged parallel workers (:class:`RetryPolicy` + the fault-tolerant
 :class:`Preempted` — and every recovery emits :mod:`repro.obs` spans and
 counters so resilience events are visible in traces, not silent.
 
-:mod:`repro.resilience.testing` provides the deterministic fault-injection
-harness (scripted crash/hang/flaky tasks over an on-disk attempt ledger)
-that CI uses to replay each failure mode, mirroring
-:mod:`repro.runtime.fleet.testing` for the serving tier.  See
+:mod:`repro.resilience.testing` defines the fault actions (crash, hang,
+error, slow) that both the search and the serving tier script, plus the
+search-tier harness (scripted crash/hang/flaky tasks over an on-disk
+attempt ledger) that CI uses to replay each failure mode.  See
 ``docs/resilience.md`` for the failure-semantics table.
 """
 

@@ -1,7 +1,17 @@
-"""Deterministic fault injection for the parallel evaluator.
+"""Deterministic fault injection: one action vocabulary for both tiers.
 
-Mirrors :mod:`repro.runtime.fleet.testing` for the *search* tier: the
-fault-tolerance claims of :class:`repro.core.parallel.ParallelEvaluator`
+:data:`CRASH`, :data:`HANG`, :data:`ERROR`, :data:`OK` and :func:`slow` are
+the fault actions of every scripted failure in the repo.  Each tier runs
+them with its own executor, because each supervisor sees a fault
+differently — a HANG must outlast a per-task timeout in the search tier
+but silence a fleet child's heartbeats in the serving tier:
+
+* **serving tier** — ``ServingFleet(fault_scripts={slot: [...]})`` hands a
+  script to a process worker, which consumes one action per batch
+  (:mod:`repro.runtime.fleet.worker`);
+* **search tier** — :class:`FaultyTask`, the rest of this module.
+
+The fault-tolerance claims of :class:`repro.core.parallel.ParallelEvaluator`
 (crash recovery, timeout kills, retry backoff, poison quarantine, and —
 above all — rankings bit-identical to the fault-free run) must be
 *replayed*, not hoped for.  The obstacle is that retried tasks cross
@@ -23,9 +33,9 @@ Fault scripts are per-task tuples of actions consumed one per attempt::
     ]
     results = ParallelEvaluator(workers=4, retry=policy).map(task, payloads)
 
-Actions: :data:`CRASH` (``os._exit`` → ``BrokenProcessPool``), :data:`HANG`
-(sleep forever → per-task timeout), :data:`ERROR` (raise
-:class:`FaultInjected`), :func:`slow` (delay, then run), :data:`OK`.
+In a task, :data:`CRASH` is ``os._exit`` (→ ``BrokenProcessPool``),
+:data:`HANG` sleeps forever (→ per-task timeout), :data:`ERROR` raises
+:class:`FaultInjected`, :func:`slow` delays then runs, :data:`OK` runs.
 Attempts beyond the script run clean, so innocent tasks resubmitted after
 a pool rebuild are unaffected and results depend only on the payload —
 which is what makes the ranking-equality assertions exact.
@@ -47,26 +57,41 @@ __all__ = [
     "FaultyPayload",
     "FaultyTask",
     "slow",
+    "slow_seconds",
 ]
 
-#: Fault action: kill the worker process mid-task (``os._exit``) — the
-#: evaluator sees ``BrokenProcessPool`` and rebuilds the executor.
+#: Fault action: kill the worker process mid-task or mid-batch
+#: (``os._exit``) — the evaluator sees ``BrokenProcessPool`` and rebuilds
+#: the executor; the fleet sees a dead pipe and raises ``WorkerCrashed``.
 CRASH = "crash"
-#: Fault action: sleep far past any test timeout — exercises the per-task
-#: timeout kill-and-rebuild path.
+#: Fault action: stay alive but never finish — exercises the per-task
+#: timeout kill (search) or the missed-heartbeat kill (serving).
 HANG = "hang"
-#: Fault action: raise :class:`FaultInjected` — a flaky task error, retried
-#: in-place without a pool rebuild.
+#: Fault action: fail the work but keep the worker healthy — a flaky task
+#: retried in place (search) or an engine error shipped to the batch's
+#: waiters (serving).
 ERROR = "error"
-#: Fault action: run the wrapped function normally.
+#: Fault action: run normally.
 OK = "ok"
 
 _HANG_SECONDS = 3600.0
+_SLOW_PREFIX = "slow:"
 
 
 def slow(seconds: float) -> str:
-    """Fault action: delay one attempt by ``seconds``, then run normally."""
-    return f"slow:{float(seconds)}"
+    """Fault action: delay one attempt or batch by ``seconds``, then run.
+
+    A slow fleet batch keeps heartbeating, so it is *not* a crash — the
+    parent must keep waiting.
+    """
+    return f"{_SLOW_PREFIX}{float(seconds)}"
+
+
+def slow_seconds(action: str) -> float | None:
+    """The delay encoded by a :func:`slow` action, else ``None``."""
+    if action.startswith(_SLOW_PREFIX):
+        return float(action[len(_SLOW_PREFIX):])
+    return None
 
 
 class FaultInjected(RuntimeError):
@@ -158,6 +183,7 @@ class FaultyTask:
             time.sleep(_HANG_SECONDS)
         elif action == ERROR:
             raise FaultInjected(scripted.task_id, attempt)
-        elif action.startswith("slow:"):
-            time.sleep(float(action.split(":", 1)[1]))
+        delay = slow_seconds(action)
+        if delay is not None:
+            time.sleep(delay)
         return self.fn(scripted.payload)

@@ -9,10 +9,9 @@ turns it into something that *runs fast* —
 * :func:`plan_arena` assigns every intermediate an offset in one
   preallocated arena with buffer reuse (:class:`ArenaLayout`);
 * :class:`Engine` executes the plan autograd-free with out-buffer kernels;
-* :class:`InferenceServer` / :class:`BatchingQueue` serve it with
-  micro-batching and per-request latency stats;
-* :class:`ServingFleet` (:mod:`repro.runtime.fleet`) scales that into a
-  multi-worker, multi-tenant serving tier with admission control.
+* :class:`ServingFleet` (:mod:`repro.runtime.fleet`) serves one or many
+  compiled plans from thread or process workers, with continuous batching,
+  admission control and per-request latency metrics.
 
 See ``docs/runtime.md`` and ``docs/serving.md`` for the full walkthrough.
 """
@@ -22,16 +21,12 @@ from repro.runtime.compile import compile_spec
 from repro.runtime.engine import Engine
 from repro.runtime.fleet import ServingFleet
 from repro.runtime.plan import BufferSpec, ExecutionPlan, PlanOp
-from repro.runtime.serve import BatchingQueue, InferenceHandle, InferenceServer
 
 __all__ = [
     "ArenaLayout",
-    "BatchingQueue",
     "BufferSpec",
     "Engine",
     "ExecutionPlan",
-    "InferenceHandle",
-    "InferenceServer",
     "LiveRange",
     "PlanOp",
     "ServingFleet",

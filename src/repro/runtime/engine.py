@@ -40,8 +40,6 @@ class Engine:
         self.layout.validate(plan)
         self._arenas: dict[int, np.ndarray] = {}
         self._views: dict[int, dict[int, np.ndarray]] = {}
-        self.run_count = 0
-        self.total_ms = 0.0
         self.last_ms = 0.0
         self.profiled_runs = 0
         self._op_total_ms = [0.0] * len(plan.ops)
@@ -112,8 +110,6 @@ class Engine:
                 _OP_TABLE[op.kind](op, views)
         out = views[self.plan.output_buffer].copy()
         self.last_ms = (time.perf_counter() - start) * 1e3
-        self.total_ms += self.last_ms
-        self.run_count += 1
         if traced:
             tracer.add_span(
                 "engine.run", trace_start, tracer.clock() - trace_start,
@@ -121,15 +117,6 @@ class Engine:
                 args={"plan": self.plan.name, "batch": int(x.shape[0])},
             )
         return out[0] if single else out
-
-    def stats(self) -> dict[str, float]:
-        """Run counters: calls, total/mean/last wall-clock milliseconds."""
-        return {
-            "runs": self.run_count,
-            "total_ms": self.total_ms,
-            "mean_ms": self.total_ms / self.run_count if self.run_count else 0.0,
-            "last_ms": self.last_ms,
-        }
 
     # -- profiling ----------------------------------------------------------
     def op_profile(self) -> list[dict]:

@@ -1,21 +1,22 @@
-"""Production serving tier: multi-worker, multi-tenant inference fleet.
+"""The serving tier: one multi-worker inference fleet for one or many models.
 
-The fleet scales the single-model :class:`~repro.runtime.serve
-.InferenceServer` into a serving layer: N worker threads over shared
-read-only baked weights (one memmap per plan), continuous batching across
-concurrent request streams, bounded-queue admission control with deadline
-shedding, per-model routing, and a serving-metrics surface
-(``fleet.stats()``) that feeds ``repro calibrate``.
+Every compiled plan is served here, from a one-model roster upwards: N
+workers over shared read-only baked weights (one memmap per plan),
+continuous batching across concurrent request streams, bounded-queue
+admission control with deadline shedding, per-model routing, and a
+serving-metrics surface (``fleet.stats()``) that feeds ``repro calibrate``.
 
 Workers come in two tiers: ``kind="thread"`` (in-process, overlap bounded
 by the GIL) and ``kind="process"`` (child processes cold-started from the
 weight packs, driven over a pipe protocol with heartbeat crash detection
-and respawn — see :mod:`~repro.runtime.fleet.worker`).  The deterministic
-fault-injection hooks live in :mod:`~repro.runtime.fleet.testing`.
+and respawn — see :mod:`~repro.runtime.fleet.worker`).  Test doubles
+(:class:`~repro.runtime.fleet.testing.FakeClock`, a scripted engine) live in
+:mod:`~repro.runtime.fleet.testing`; process-worker fault scripts use the
+shared action vocabulary of :mod:`repro.resilience.testing`.
 
 Entry points: :class:`ServingFleet` directly, :func:`repro.api.serve_fleet`,
-or ``repro serve --workers N --worker-kind process --models a,b``;
-``repro bench --suite serving`` replays
+or ``repro serve --model NAME`` (one model) / ``--models a,b --workers N
+--worker-kind process``; ``repro bench --suite serving`` replays
 :mod:`~repro.runtime.fleet.traffic` traces against both tiers.
 """
 

@@ -1,8 +1,8 @@
 """ServingFleet: N workers, shared baked weights, one multi-tenant door.
 
-The fleet is the production tier above :class:`~repro.runtime.serve
-.InferenceServer` (single model, single worker).  One fleet hosts many
-compiled plans behind ``submit(model, x)``:
+The fleet is the one serving path of the compiled runtime: a single model
+is a one-plan roster, and one fleet hosts many compiled plans behind
+``submit(model, x)``:
 
 * each plan's baked arrays are packed once into a single memmap
   (:func:`~repro.runtime.fleet.weights.pack_plan_memmap`) and every worker's
@@ -80,7 +80,8 @@ class ServingFleet:
             (default ``spawn``; the cold-start path the deploy story uses).
         fault_scripts: Deterministic fault-injection hook (tests/CI only):
             per worker slot, a list of actions consumed one per batch —
-            ``"crash"``, ``"hang"``, ``"slow:<seconds>"``, ``"error"``.
+            ``CRASH``, ``HANG``, ``slow(s)``, ``ERROR`` from
+            :mod:`repro.resilience.testing`.
 
     Use as a context manager or call :meth:`close` — workers (threads and
     dispatcher threads alike) are non-daemonic.

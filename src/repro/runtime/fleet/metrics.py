@@ -29,8 +29,8 @@ LATENCY_RESERVOIR = 2048
 def latency_percentiles(samples_ms) -> dict[str, float]:
     """Mean/p50/p95/p99/max summary of a latency sample list (ms).
 
-    The serving-tier shape (p99 included) of
-    :func:`repro.runtime.serve.latency_summary`.
+    The one latency-summary shape: fleet metrics, traffic replay and the
+    ``repro infer`` payload all report it.
     """
     arr = np.asarray(list(samples_ms), dtype=np.float64)
     if arr.size == 0:

@@ -63,7 +63,8 @@ class _FleetRequest:
 
     __slots__ = (
         "model", "x", "event", "output", "error", "enqueued_at",
-        "dispatched_at", "deadline_at", "batch_size", "latency_ms", "req_id",
+        "dispatched_at", "deadline_at", "completed_at", "batch_size",
+        "latency_ms", "req_id",
     )
 
     def __init__(
@@ -83,6 +84,7 @@ class _FleetRequest:
             self.enqueued_at + deadline_ms / 1e3
             if deadline_ms is not None else None
         )
+        self.completed_at: float | None = None
         self.batch_size = 0
         self.latency_ms = 0.0
 
@@ -99,7 +101,8 @@ class _FleetRequest:
 
     def complete(self, output: np.ndarray, batch_size: int) -> None:
         """Complete the request with its logits and wake the waiter."""
-        self.latency_ms = (clock.now() - self.enqueued_at) * 1e3
+        self.completed_at = clock.now()
+        self.latency_ms = (self.completed_at - self.enqueued_at) * 1e3
         self.output = output
         self.batch_size = batch_size
         self.event.set()
@@ -149,6 +152,11 @@ class FleetHandle:
     def latency_ms(self) -> float:
         """Enqueue-to-completion latency (valid once served)."""
         return self._request.latency_ms
+
+    @property
+    def completed_at(self) -> float | None:
+        """Fleet-clock time the request was served (``None`` until then)."""
+        return self._request.completed_at
 
     @property
     def batch_size(self) -> int:

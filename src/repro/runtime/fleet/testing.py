@@ -1,26 +1,22 @@
-"""Deterministic fault-injection harness for the serving fleet.
+"""Deterministic test doubles for the serving fleet.
 
 A serving tier is only trustworthy if worker death, hangs and queue races
 are *tested*, not hoped away — and those tests must be reproducible, never
-"sleep and pray".  This module collects the injection points the fleet test
-surface is built on:
+"sleep and pray".  This module holds the fleet-specific injection points:
 
 * :class:`FakeClock` — a pausable, manually-advanced time source installed
   into :mod:`repro.runtime.fleet.clock`.  Deadline expiry, queue-age
   fairness and latency stamps become pure functions of the test script:
   nothing expires unless the test advances time past it.
 * :class:`ScriptedEngine` — an in-process fake worker engine whose
-  behaviour per ``run`` call follows a script (``"ok"``, ``"block"`` on a
-  releasable gate, ``"error"``); monkeypatch it over
+  behaviour per ``run`` call follows a script (``OK``, ``"block"`` on a
+  releasable gate, ``ERROR``); monkeypatch it over
   ``repro.runtime.fleet.fleet.Engine`` to choreograph thread-tier
   interleavings (a request mid-compute while ``close()`` lands, etc.).
-* fault scripts for *process* workers — plain action strings consumed one
-  per batch inside the child (``ServingFleet(fault_scripts={0: [CRASH]})``):
-  :data:`CRASH` kills the process mid-batch, :data:`HANG` stops heartbeats
-  while staying alive (exercising the missed-heartbeat kill),
-  :func:`slow` delays compute while heartbeating (must *not* be killed),
-  :data:`ERROR` raises an engine-side exception (worker stays healthy).
 
+Process workers take fault scripts in the shared action vocabulary of
+:mod:`repro.resilience.testing` (``ServingFleet(fault_scripts={0: [CRASH]})``,
+``HANG``, ``ERROR``, ``slow(s)``), consumed one per batch inside the child.
 Every failure mode in ``docs/serving.md``'s failure-semantics table maps to
 one of these hooks, so CI can replay each scenario exactly.
 """
@@ -31,26 +27,8 @@ import threading
 
 import numpy as np
 
+from repro.resilience.testing import ERROR, OK
 from repro.runtime.fleet import clock
-
-#: Process-worker fault action: die mid-batch (``os._exit``) — the parent
-#: sees a dead pipe and fails the batch with ``WorkerCrashed``.
-CRASH = "crash"
-#: Process-worker fault action: stay alive but go silent (no heartbeats,
-#: no result) — the parent kills the worker after ``max_missed_heartbeats``.
-HANG = "hang"
-#: Process-worker fault action: raise inside the engine — the batch fails
-#: with the shipped exception; the worker keeps serving.
-ERROR = "error"
-
-
-def slow(seconds: float) -> str:
-    """Fault action: delay one batch by ``seconds`` while heartbeating.
-
-    A slow batch is *not* a crash — the parent must keep waiting as long as
-    heartbeats flow; tests use this to pin down that distinction.
-    """
-    return f"slow:{float(seconds)}"
 
 
 class FakeClock:
@@ -113,12 +91,12 @@ class ScriptedEngine:
     shape: one plan) via monkeypatching.  Each ``run`` call consumes the
     next action from the class-level :attr:`script`:
 
-    * ``"ok"`` — return zeros of shape ``(batch, out_features)``;
+    * ``OK`` — return zeros of shape ``(batch, out_features)``;
     * ``"block"`` — wait on :attr:`gate` until the test releases it (a
       batch frozen mid-compute: the close()/drain race window);
-    * ``"error"`` — raise ``RuntimeError``.
+    * ``ERROR`` — raise ``RuntimeError``.
 
-    An exhausted script keeps serving ``"ok"``.  Class-level state
+    An exhausted script keeps serving ``OK``.  Class-level state
     (:attr:`instances`, :attr:`script`, :attr:`gate`) is reset with
     :meth:`reset` so tests do not leak into each other.
     """
@@ -157,11 +135,11 @@ class ScriptedEngine:
         self.run_calls += 1
         with ScriptedEngine._lock:
             action = (
-                ScriptedEngine.script.pop(0) if ScriptedEngine.script else "ok"
+                ScriptedEngine.script.pop(0) if ScriptedEngine.script else OK
             )
         if action == "block":
             if not ScriptedEngine.gate.wait(timeout=30.0):
                 raise RuntimeError("ScriptedEngine gate never released")
-        elif action == "error":
+        elif action == ERROR:
             raise RuntimeError("scripted engine error")
         return np.zeros((len(batch), self.out_features))

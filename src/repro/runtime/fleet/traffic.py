@@ -15,7 +15,10 @@ with a trace *open-loop*: submission times come from the trace alone, never
 from completions, so a slow fleet visibly builds queue depth, sheds
 deadlines, and rejects on backpressure instead of quietly slowing the
 client down (closed-loop replay would hide exactly the tail behaviour a
-serving benchmark exists to measure).
+serving benchmark exists to measure).  For the same reason each request's
+latency runs from its *due* time, not from its enqueue: a generator that
+falls behind its schedule shows up in the latency of every request it
+delayed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.runtime.fleet import clock
 from repro.runtime.fleet.fleet import ServingFleet
 from repro.runtime.fleet.metrics import latency_percentiles
 from repro.runtime.fleet.requests import (
@@ -107,25 +111,31 @@ def replay(
 
     Returns a JSON-serialisable record: offered/served counts, outcome split
     (completed / rejected / shed / failed), wall-clock, served throughput in
-    requests/s, and latency percentiles over completed requests.
+    requests/s, ``max_late_ms`` (how far behind its schedule the generator
+    sent a request), and latency percentiles over completed requests, each
+    measured on the fleet clock from the event's due time (trace start +
+    ``event.t``) to completion.
     """
-    handles: list[FleetHandle] = []
+    sent: list[tuple[float, FleetHandle]] = []
     rejected = 0
-    start = time.perf_counter()
+    max_late_s = 0.0
+    start = clock.now()
     for event in trace:
-        wait = event.t - (time.perf_counter() - start)
+        due = start + event.t
+        wait = due - clock.now()
         if wait > 0:
             time.sleep(wait)
+        max_late_s = max(max_late_s, clock.now() - due)
         try:
-            handles.append(
-                fleet.submit(event.model, inputs[event.model], deadline_ms)
-            )
+            handle = fleet.submit(event.model, inputs[event.model], deadline_ms)
         except QueueFull:
             rejected += 1
+        else:
+            sent.append((due, handle))
     completed = shed = failed = 0
     latencies: list[float] = []
     per_model: dict[str, list[float]] = {}
-    for handle in handles:
+    for due, handle in sent:
         try:
             handle.result(timeout)
         except DeadlineExceeded:
@@ -134,18 +144,20 @@ def replay(
             failed += 1
         else:
             completed += 1
-            latencies.append(handle.latency_ms)
-            per_model.setdefault(handle.model, []).append(handle.latency_ms)
-    wall_s = time.perf_counter() - start
+            latency_ms = (handle.completed_at - due) * 1e3
+            latencies.append(latency_ms)
+            per_model.setdefault(handle.model, []).append(latency_ms)
+    wall_s = clock.now() - start
     record: dict[str, Any] = {
         "offered": len(trace),
-        "accepted": len(handles),
+        "accepted": len(sent),
         "rejected": rejected,
         "completed": completed,
         "shed": shed,
         "failed": failed,
         "wall_s": wall_s,
         "throughput_rps": completed / wall_s if wall_s > 0 else 0.0,
+        "max_late_ms": max_late_s * 1e3,
     }
     if latencies:
         record["latency_ms"] = latency_percentiles(latencies)

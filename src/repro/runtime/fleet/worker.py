@@ -48,6 +48,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.resilience import testing as faults
 from repro.runtime.fleet.requests import WorkerCrashed
 from repro.runtime.fleet.weights import PlanWeightPack
 
@@ -66,18 +67,19 @@ DEFAULT_START_METHOD = "spawn"
 
 def _apply_fault(action: str, stop_heartbeat: threading.Event) -> None:
     """Execute one scripted fault ``action`` inside the child (test hook)."""
-    if action == "crash":
+    if action == faults.CRASH:
         # Die mid-batch without a goodbye — the parent sees a dead pipe.
         os._exit(13)
-    elif action == "hang":
+    elif action == faults.HANG:
         # Go silent: stop heartbeating but stay alive, holding the batch.
         # Only the parent's missed-heartbeat kill can end this state.
         stop_heartbeat.set()
         time.sleep(3600.0)
-    elif action.startswith("slow:"):
+    delay = faults.slow_seconds(action)
+    if delay is not None:
         # Slow batch: compute is delayed but heartbeats keep flowing, so
         # the parent must NOT declare this worker dead.
-        time.sleep(float(action.split(":", 1)[1]))
+        time.sleep(delay)
 
 
 def worker_main(
@@ -92,14 +94,15 @@ def worker_main(
     ``READY`` (the parent may unlink the backing files only after the fleet
     closes), then loops on control frames.  Engines are built lazily per
     model.  ``fault_script`` is the deterministic test hook: one action
-    string per SUBMIT, consumed in order (``"crash"``, ``"hang"``,
-    ``"slow:<seconds>"``, ``"error"``; anything else serves normally).
+    per SUBMIT, consumed in order, from :mod:`repro.resilience.testing`
+    (``CRASH``, ``HANG``, ``slow(s)``, ``ERROR``; anything else serves
+    normally).
     """
     from repro.runtime.engine import Engine
 
     plans = {name: pack.restore() for name, pack in packs.items()}
     engines: dict[str, Any] = {}
-    faults = list(fault_script or [])
+    script = list(fault_script or [])
     send_lock = threading.Lock()
     stop_heartbeat = threading.Event()
 
@@ -132,10 +135,10 @@ def worker_main(
             # time zero); the parent re-anchors them onto its own timeline.
             received = time.perf_counter()
             spans: list[dict] | None = [] if trace else None
-            action = faults.pop(0) if faults else "ok"
+            action = script.pop(0) if script else faults.OK
             _apply_fault(action, stop_heartbeat)
             try:
-                if action == "error":
+                if action == faults.ERROR:
                     raise RuntimeError(
                         f"injected engine error for model {model!r}"
                     )

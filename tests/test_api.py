@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -153,3 +154,25 @@ class TestDeployPlan:
     def test_planless_target_raises_helpfully(self):
         with pytest.raises(ValueError, match="no deployment-plan renderer"):
             api.deploy_plan("ResNet18", "accel")
+
+
+class TestRuntimeFacade:
+    def test_compile_model_facade(self):
+        engine = api.compile_model(
+            "MobileNet-V2", width_mult=0.1, input_size=16, num_classes=4,
+        )
+        out = engine.run(np.zeros((2, 3, 16, 16)))
+        assert out.shape == (2, 4)
+
+    def test_predicted_vs_measured_record(self):
+        from repro.baselines.model_zoo import get_model
+        from repro.hw.report import predicted_vs_measured
+
+        spec = get_model("MobileNet-V2")
+        record = predicted_vs_measured(spec, "gpu", measured_ms=5.0)
+        assert record["target"] == "gpu"
+        assert record["measured_ms"] == 5.0
+        assert record["predicted_ms"] is not None
+        assert record["measured_over_predicted"] == pytest.approx(
+            5.0 / record["predicted_ms"]
+        )

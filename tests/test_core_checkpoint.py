@@ -270,6 +270,28 @@ class TestDurability:
         np.testing.assert_array_equal(other.supernet.theta.data,
                                       searcher.supernet.theta.data)
 
+    def test_version1_files_are_rejected_but_never_pruned(self, searcher,
+                                                          tmp_path):
+        from repro.core.checkpoint import prune_corrupt_checkpoints
+
+        path = save_checkpoint(searcher, checkpoint_path(tmp_path, 1), epoch=1)
+        # A v1 file: no checksum, buffers, temperature, RNG streams or history.
+        v2_only = ("meta::checksum", "meta::temperature", "rng::",
+                   "hist::", "buf::")
+        with np.load(path) as data:
+            payload = {
+                key: data[key].copy()
+                for key in data.files
+                if not key.startswith(v2_only)
+            }
+        payload["meta::format"] = np.asarray(1)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="checkpoint format 1"):
+            load_checkpoint(searcher, path)
+        # An old format is not corruption: the file stays for the user.
+        assert prune_corrupt_checkpoints(tmp_path) == []
+        assert path.exists()
+
     def test_v3_without_checksum_is_corrupt(self, searcher, tmp_path):
         from repro.core.checkpoint import verify_checkpoint
         from repro.resilience import CorruptCheckpoint

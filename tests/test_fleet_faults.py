@@ -1,7 +1,7 @@
 """Fault injection against the serving fleet: crashes, hangs, close races.
 
-Process-tier scenarios drive real child processes through the scripted
-fault hooks in :mod:`repro.runtime.fleet.testing` (``fault_scripts=``);
+Process-tier scenarios drive real child processes through scripted fault
+actions from :mod:`repro.resilience.testing` (``fault_scripts=``);
 thread-tier races are choreographed with :class:`ScriptedEngine` gates.
 The common contract under test: **no client ``result()`` call ever hangs**
 — every submitted request resolves with an output or a typed error, and
@@ -22,7 +22,8 @@ from repro.runtime.fleet import (
     ServingFleet,
     WorkerCrashed,
 )
-from repro.runtime.fleet.testing import CRASH, ERROR, HANG, ScriptedEngine, slow
+from repro.resilience.testing import CRASH, ERROR, HANG, slow
+from repro.runtime.fleet.testing import ScriptedEngine
 
 # Generous guard rail: a hit means a client hung, the bug these tests exist
 # to catch — never a tuning knob for slow hosts.

@@ -20,7 +20,8 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--model", "EDD-Net-1"])
         assert args.max_batch == 8
-        assert args.max_wait_ms == 2.0
+        assert args.workers == 2
+        assert args.worker_kind == "thread"
         assert args.target == "gpu"
         assert not args.once
 
@@ -97,20 +98,39 @@ class TestServeCommand:
                      "--once", "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["requests"] == 1
-        assert payload["stats"]["requests"] == 1
-        assert payload["stats"]["latency_ms"]["p50"] > 0
-        pvm = payload["predicted_vs_measured"]
+        assert payload["models"] == ["MobileNet-V2"]
+        assert payload["requests_per_model"] == 1
+        fleet = payload["stats"]["fleet"]
+        assert fleet["accepted"] == fleet["completed"] == 1
+        assert fleet["failed"] == fleet["shed"] == fleet["rejected"] == 0
+        model = payload["stats"]["models"]["MobileNet-V2"]
+        assert model["completed"] == 1
+        assert model["latency_ms"]["p50"] > 0
+        pvm = payload["predicted_vs_measured"]["MobileNet-V2"]
         assert pvm["target"] == "gpu"
-        assert pvm["measured_ms"] > 0
+        assert pvm["measured_ms"] == model["latency_ms"]["p50"]
 
     def test_multiple_requests_text(self, capsys):
         code = main(["serve", "--model", "MobileNet-V2", *SCALE,
-                     "--requests", "3", "--max-wait-ms", "1"])
+                     "--requests", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "served 3 request(s)" in out
-        assert "latency p50" in out
+        assert "fleet served 3 request(s) across 1 model(s)" in out
+        assert "MobileNet-V2: p50" in out
+
+    def test_model_writes_metrics_out(self, capsys, tmp_path):
+        metrics = tmp_path / "m.txt"
+        assert main(["serve", "--model", "MobileNet-V2", *SCALE, "--once",
+                     "--metrics-out", str(metrics), "--format", "json"]) == 0
+        capsys.readouterr()
+        text = metrics.read_text(encoding="utf-8")
+        assert ('repro_fleet_requests_total{model="MobileNet-V2",'
+                'outcome="completed"} 1.0') in text
+
+    def test_model_and_models_are_exclusive(self, capsys):
+        assert main(["serve", "--model", "MobileNet-V2",
+                     "--models", "EDD-Net-1", *SCALE, "--once"]) == 2
+        assert "not both" in capsys.readouterr().err
 
 
 class TestCompileAndPlanCLI:

@@ -120,16 +120,6 @@ class TestEngineMechanics:
         engine.run(x)
         assert engine._arenas[2] is arena_before
 
-    def test_stats_accumulate(self):
-        engine = Engine(compile_spec(_scaled("MobileNet-V2"), seed=0))
-        x = np.random.default_rng(8).normal(size=(1, 3, 32, 32))
-        engine.run(x)
-        engine.run(x)
-        stats = engine.stats()
-        assert stats["runs"] == 2
-        assert stats["total_ms"] > 0
-        assert stats["mean_ms"] == pytest.approx(stats["total_ms"] / 2)
-
     def test_output_is_a_copy(self, engine):
         x = np.random.default_rng(9).normal(size=(1, 3, 32, 32))
         first = engine.run(x)

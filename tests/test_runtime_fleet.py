@@ -16,6 +16,7 @@ from repro.runtime.fleet import (
     FleetScheduler,
     QueueFull,
     ServingFleet,
+    TraceEvent,
     burst_trace,
     latency_percentiles,
     merge_traces,
@@ -390,6 +391,30 @@ class TestTraffic:
         assert record["throughput_rps"] > 0
         assert set(record["per_model"]) <= {"a", "b"}
         json.dumps(record)
+
+    def test_replay_times_requests_from_their_due_time(self, plans, sample,
+                                                      monkeypatch):
+        # Five events 10 ms apart; the first submit stalls 200 ms.  Timed
+        # from enqueue every request looks fast; timed from its due time the
+        # first one took at least the stall and the rest were sent late.
+        stall_s = 0.2
+        trace = [TraceEvent(t=0.01 * i, model="a") for i in range(5)]
+        with ServingFleet({"a": plans["a"]}, workers=1) as fleet:
+            submit = fleet.submit
+            stalled = []
+
+            def stalled_submit(*args, **kwargs):
+                if not stalled:
+                    stalled.append(True)
+                    time.sleep(stall_s)
+                return submit(*args, **kwargs)
+
+            monkeypatch.setattr(fleet, "submit", stalled_submit)
+            record = replay(fleet, trace, {"a": sample})
+        assert record["completed"] == 5
+        assert record["latency_ms"]["max"] >= stall_s * 1e3
+        # The second event was due 10 ms in, while the first submit stalled.
+        assert record["max_late_ms"] > (stall_s - 0.02) * 1e3
 
     def test_latency_percentiles_requires_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):

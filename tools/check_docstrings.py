@@ -14,7 +14,7 @@ docstring:
   ``device_names``, ``build_hardware_model``, ``quantization_for_target``);
 * the compiled-runtime surface (everything in ``repro.runtime.__all__``:
   ``compile_spec``, ``ExecutionPlan``, ``plan_arena``, ``Engine``,
-  ``InferenceServer``, ``BatchingQueue``, ...);
+  ``ServingFleet``, ...);
 * the serving-fleet surface (everything in ``repro.runtime.fleet.__all__``:
   ``ServingFleet``, ``FleetScheduler``, ``ServingMetrics``, the traffic
   generators, ...).
@@ -145,10 +145,10 @@ def collect_missing() -> list[str]:
 
     extra_names = (
         (fleet_clock, ("now", "set_time_source", "time_source")),
-        (fleet_testing, ("FakeClock", "ScriptedEngine", "slow")),
+        (fleet_testing, ("FakeClock", "ScriptedEngine")),
         (resilience_testing, (
             "FaultInjected", "FaultyPayload", "FaultyTask", "attempts_made",
-            "slow",
+            "slow", "slow_seconds",
         )),
         (calibration, (
             "CalibrationFit", "fit_calibration_scale", "fit_from_serving_log",

@@ -23,7 +23,7 @@ def main() -> None:
     """Drive the scripted-crash scenario end to end; raises on violation."""
     from repro import api
     from repro.runtime.fleet import ServingFleet, WorkerCrashed
-    from repro.runtime.fleet.testing import CRASH
+    from repro.resilience.testing import CRASH
 
     plans = {
         name: api.compile_model(
