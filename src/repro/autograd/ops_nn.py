@@ -5,14 +5,19 @@ activations and log-softmax, plus the out-buffer kernels of the runtime.
 input is reshaped into a column matrix and contracted against the flattened
 kernel with **one batched matmul** per convolution — no Python loops over
 kernel offsets or groups.  Dense, depthwise and grouped convolutions all run
-the same path (a depthwise conv is just ``groups == channels``), except that
-large stride-1 depthwise convolutions with 5x5+ kernels dispatch to a direct
-window-view kernel (:func:`_depthwise_direct`).  The backward pass is two
-more matmuls: the weight gradient contracts the saved columns against the
-output gradient, and the input gradient is the transposed convolution — one
-correlation of the stride-dilated output gradient with the flipped kernel
-(:func:`_conv_input_grad_dilated`) at stride 1 and for small problems, and
-its ``stride²`` dense phases (:func:`_conv_input_grad_phased`) otherwise.
+this path (a depthwise conv is just ``groups == channels``).  Its backward
+pass is two more matmuls: the weight gradient contracts the columns against
+the output gradient, and the input gradient is the transposed convolution —
+one correlation of the stride-dilated output gradient with the flipped
+kernel (:func:`_conv_input_grad_dilated`) at stride 1 and for small
+problems, and its ``stride²`` dense phases (:func:`_conv_input_grad_phased`)
+otherwise.
+
+The one exception is a large stride-1 depthwise convolution with a 5x5+
+kernel, which runs the direct kernel (:func:`_depthwise_direct`): a
+channel-major column matrix turns its forward and weight gradient into one
+matrix-vector product per channel, and its input gradient is k²
+shift-accumulate taps.
 
 The original shift-and-accumulate implementation is retained as
 :func:`_reference_conv2d` — a slow, independently-written oracle used by the
@@ -256,11 +261,12 @@ def _conv_input_grad(
     return _conv_input_grad_phased(grad, w_data, x_shape, stride, groups)
 
 
-# Materialized column matrices above this size are processed in batch chunks:
-# allocations past glibc's mmap threshold cap (32 MiB) page-fault on every
-# conv, which costs far more than the extra python iterations of cache
-# blocking.  Below the cap the allocator recycles the buffers, so capturing
-# the columns for the backward is cheaper than recomputing them.
+# Materialized column matrices above this size are processed in chunks (batch
+# chunks in _im2col_conv, channel blocks in _depthwise_direct): allocations
+# past glibc's mmap threshold cap (32 MiB) page-fault on every conv, which
+# costs far more than the extra python iterations of cache blocking.  Below
+# the cap the allocator recycles the buffers, so _im2col_conv captures the
+# columns for the backward instead of recomputing them.
 _COL_CHUNK_BYTES = 24 << 20
 
 
@@ -345,49 +351,71 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     return make_op(out, (xp, weight), backward_chunked, op_name)
 
 
-#: Below this much tap work (``N*C*oH*oW*kH*kW`` multiply-accumulates) the
-#: direct depthwise kernel's 2*k² python-level tap operations cost more than
-#: the im2col GEMM overhead they avoid — dispatch accordingly (tests pin it
-#: to 0 to force the direct path at unit-test sizes).
+#: Below this much tap work (``N*C*oH*oW*kH*kW`` multiply-accumulates)
+#: :func:`conv2d` keeps stride-1 depthwise convolutions on im2col.  Output
+#: and kernel size, not tap count, decide which kernel is faster (see the
+#: measured crossover in docs/performance.md).  Most tests pin it to 0 to
+#: force the direct path at unit-test sizes.
 _DW_DIRECT_MIN_ELEMS = 100_000
 
 
 def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
     """Direct depthwise convolution (stride 1, already-padded input).
 
-    The im2col formulation turns a depthwise stage into ``C`` batched
-    (1, k²) x (k², oH*oW) GEMMs — BLAS at its worst shape — after paying a
-    k²-fold column materialisation (and, past :data:`_COL_CHUNK_BYTES`, a
-    second one to recompute the columns in the backward).  Per-op profiling
-    of soft supernet steps at paper widths puts that ``dwconv2d`` backward
-    at ~80% of total step time.  This node instead contracts a zero-copy
-    sliding-window view directly:
+    The im2col formulation runs a depthwise stage as ``N*C`` (1, k²) x
+    (k², oH*oW) GEMMs, one per sample and channel.  This node instead
+    lays the windows out channel-major, as one ``(C, N*oH*oW, k²)`` column
+    matrix built from :func:`_window_view`, so each channel is a single
+    matrix-vector product over the whole batch:
 
-    * forward: ``einsum('ncijhw,cij->nchw')`` over :func:`_window_view`;
-    * weight grad: ``einsum('ncijhw,nchw->cij')`` over the same view (no
-      column matrix ever materialises, so nothing is recomputed);
+    * forward: ``cols @ w.reshape(C, k², 1)``, then one contiguous
+      transpose of the ``(C, N, oH, oW)`` result back to NCHW;
+    * weight grad: the channel-major output gradient ``(C, 1, N*oH*oW)``
+      times the same columns, rebuilt in the backward instead of held on
+      the tape;
     * input grad: k² shift-accumulate taps
-      ``gx[:, :, i:i+oH, j:j+oW] += g * w[:, i, j]`` — cheaper than an
-      einsum over the padded-gradient window because the output gradient is
-      smaller than the padded input.
+      ``gx[:, :, i:i+oH, j:j+oW] += g * w[:, i, j]``.
 
-    Measured ~2x faster than the im2col path for k in {5, 7} at search
-    widths; k == 3 and strided cases stay on im2col
-    (:func:`conv2d` dispatches only profitable shapes here).
+    Columns are built for blocks of channels of at most
+    :data:`_COL_CHUNK_BYTES` each, which bounds memory as
+    :func:`_im2col_conv` does.  k == 3 and strided cases stay on im2col
+    (:func:`conv2d` dispatches only stride-1 kernels of 5+ taps here).
     """
     x_data, w_data = xp.data, weight.data
-    n, c, _, _ = x_data.shape
+    n, c, h, w = x_data.shape
     k = w_data.shape[2]
-    win = _window_view(x_data, k, k, 1)
-    out_h, out_w = win.shape[4], win.shape[5]
-    w2 = w_data.reshape(c, k, k)
-    out = np.einsum("ncijhw,cij->nchw", win, w2)
+    out_h = _conv_output_size(h, k, 1)
+    out_w = _conv_output_size(w, k, 1)
+    rows = n * out_h * out_w
+    taps = w_data.reshape(c, k * k, 1)
+    block = max(1, _COL_CHUNK_BYTES // (rows * k * k * x_data.itemsize))
+    blocks = [slice(start, start + block) for start in range(0, c, block)]
+
+    def columns(sl: slice) -> np.ndarray:
+        win = _window_view(x_data[:, sl], k, k, 1)
+        return np.ascontiguousarray(win.transpose(1, 0, 4, 5, 2, 3)).reshape(
+            -1, rows, k * k
+        )
+
+    out_cm = np.empty((c, rows, 1), dtype=x_data.dtype)
+    for sl in blocks:
+        np.matmul(columns(sl), taps[sl], out=out_cm[sl])
+    out = np.ascontiguousarray(
+        out_cm.reshape(c, n, out_h, out_w).transpose(1, 0, 2, 3)
+    )
     need_input_grad = xp.requires_grad or xp.backward_fn is not None
 
     def backward(grad: np.ndarray):
-        grad_w = np.einsum("ncijhw,nchw->cij", win, grad).reshape(w_data.shape)
+        grad_cm = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(
+            c, 1, rows
+        )
+        grad_w = np.empty((c, 1, k * k), dtype=w_data.dtype)
+        for sl in blocks:
+            np.matmul(grad_cm[sl], columns(sl), out=grad_w[sl])
+        grad_w = grad_w.reshape(w_data.shape)
         if not need_input_grad:
             return None, grad_w
+        w2 = w_data.reshape(c, k, k)
         grad_x = np.zeros(x_data.shape, dtype=grad.dtype)
         scratch = np.empty((n, c, out_h, out_w), dtype=grad.dtype)
         for i in range(k):
@@ -410,8 +438,11 @@ def conv2d(
 
     ``weight`` is shaped ``(C_out, C_in // groups, kH, kW)``.  ``groups == 1``
     is a dense convolution; ``groups == C_in`` with a channel multiplier of 1
-    is a depthwise convolution (the MBConv middle layer).  All group counts
-    share one im2col + batched-matmul path.
+    is a depthwise convolution (the MBConv middle layer).  Every group count
+    runs the im2col + batched-matmul path, except stride-1 depthwise
+    convolutions with square kernels of 5+ taps and at least
+    :data:`_DW_DIRECT_MIN_ELEMS` of tap work, which run
+    :func:`_depthwise_direct`.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")

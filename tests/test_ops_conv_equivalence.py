@@ -4,15 +4,17 @@ implementation kept verbatim as an independent reference).
 
 Forward values and both backward gradients (input and weight) must match
 across strides, paddings, group counts (dense / grouped / depthwise), odd
-spatial shapes, and the batch-chunked large-column path.
+spatial shapes, the batch-chunked large-column path, and the direct
+depthwise kernel on both sides of its size threshold.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.autograd.ops_nn as ops_nn
+from repro.autograd.gradcheck import gradcheck
 from repro.autograd.ops_nn import _reference_conv2d, conv2d, max_pool2d
 from repro.autograd.tensor import default_dtype, tensor
 
@@ -152,56 +154,109 @@ class TestMaxPoolEquivalence:
         assert x.grad.sum() == out.data.size
 
 
+def _dispatch_spy(mp) -> list[str]:
+    """Record every call :func:`conv2d` routes to ``_depthwise_direct``."""
+    dispatched = []
+    real = ops_nn._depthwise_direct
+
+    def spy(xp, weight, op_name):
+        dispatched.append(op_name)
+        return real(xp, weight, op_name)
+
+    mp.setattr(ops_nn, "_depthwise_direct", spy)
+    return dispatched
+
+
+@st.composite
+def _direct_cases(draw):
+    """``(n, c, out_h, out_w, k, padding)`` with a non-square output."""
+    k = draw(st.sampled_from([5, 7]))
+    out_h = draw(st.integers(1, 24))
+    out_w = draw(st.integers(1, 24).filter(lambda v: v != out_h))
+    return (draw(st.integers(1, 3)), draw(st.integers(3, 8)), out_h, out_w, k,
+            draw(st.integers(0, k // 2)))
+
+
 class TestDepthwiseDirectEquivalence:
-    """The direct depthwise kernel (einsum window forward/weight-grad plus
-    shift-accumulate input grad) matches the reference conv exactly.
+    """The direct depthwise kernel (channel-major column GEMVs for the
+    forward and weight gradient, shift-accumulate input gradient) matches
+    the reference conv exactly.
 
     Production dispatch requires stride 1, square kernels of 5+, and enough
-    tap work (``_DW_DIRECT_MIN_ELEMS``); the threshold is pinned to 0 here
-    so unit-sized problems exercise the direct code path.
+    tap work (``_DW_DIRECT_MIN_ELEMS``).  The property test keeps the real
+    threshold and checks which side of it each shape landed on; the other
+    tests pin it to 0 so unit-sized problems exercise the direct code path.
     """
+
+    # Tap counts (n*c*oH*oW*k²) of the examples straddle the 100,000 threshold.
+    @settings(max_examples=60, deadline=None)
+    @given(case=_direct_cases())
+    @example(case=(3, 7, 10, 19, 5, 2))  # 99,750 taps: im2col
+    @example(case=(2, 8, 10, 25, 5, 0))  # 100,000 taps: direct
+    @example(case=(3, 7, 12, 16, 5, 1))  # 100,800 taps: direct
+    @example(case=(2, 6, 10, 17, 7, 3))  # 99,960 taps: im2col
+    @example(case=(2, 6, 9, 19, 7, 2))   # 100,548 taps: direct
+    def test_property_matches_reference_across_threshold(self, case):
+        n, c, out_h, out_w, k, padding = case
+        h, w = out_h + k - 1 - 2 * padding, out_w + k - 1 - 2 * padding
+        taps = n * c * out_h * out_w * k * k
+        with pytest.MonkeyPatch.context() as mp:
+            dispatched = _dispatch_spy(mp)
+            _compare(n, c, h, w, c, k, 1, padding, c, seed=taps)
+        direct = taps >= ops_nn._DW_DIRECT_MIN_ELEMS
+        assert dispatched == (["dwconv2d"] if direct else [])
 
     @pytest.mark.parametrize("k,padding", [
         (5, 2), (5, 0), (7, 3), (7, 1),
     ])
     def test_matches_reference(self, k, padding, monkeypatch):
         monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        dispatched = []
-        real = ops_nn._depthwise_direct
-
-        def spy(xp, weight, op_name):
-            dispatched.append(op_name)
-            return real(xp, weight, op_name)
-
-        monkeypatch.setattr(ops_nn, "_depthwise_direct", spy)
-        rng = np.random.default_rng(11)
+        dispatched = _dispatch_spy(monkeypatch)
         c = 4
-        x = rng.normal(size=(2, c, 9, 9))
-        weight = rng.normal(size=(c, 1, k, k))
-        x_new = tensor(x, requires_grad=True)
-        w_new = tensor(weight, requires_grad=True)
-        out_new = conv2d(x_new, w_new, stride=1, padding=padding, groups=c)
-        seed_grad = rng.normal(size=out_new.shape)
-        out_new.backward(seed_grad)
+        _compare(2, c, 9, 9, c, k, 1, padding, c, seed=11)
         assert dispatched == ["dwconv2d"]
 
-        x_ref = tensor(x, requires_grad=True)
-        w_ref = tensor(weight, requires_grad=True)
-        out_ref = _reference_conv2d(x_ref, w_ref, stride=1, padding=padding,
-                                    groups=c)
-        out_ref.backward(seed_grad)
-        np.testing.assert_allclose(out_new.data, out_ref.data, atol=1e-10)
-        np.testing.assert_allclose(x_new.grad, x_ref.grad, atol=1e-10)
-        np.testing.assert_allclose(w_new.grad, w_ref.grad, atol=1e-10)
+    @pytest.mark.parametrize("k,padding", [(5, 1), (7, 3)])
+    def test_gradcheck_through_direct_path(self, k, padding, monkeypatch):
+        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
+        dispatched = _dispatch_spy(monkeypatch)
+        rng = np.random.default_rng(13)
+        c = 3
+        x = tensor(rng.normal(size=(2, c, 6, 7)), requires_grad=True)
+        w = tensor(rng.normal(size=(c, 1, k, k)), requires_grad=True)
+        assert gradcheck(
+            lambda a, b: conv2d(a, b, padding=padding, groups=c), (x, w)
+        )
+        assert dispatched and set(dispatched) == {"dwconv2d"}
+
+    def test_channel_blocks_match_reference(self, monkeypatch):
+        """Past ``_COL_CHUNK_BYTES`` the columns are built per block of
+        channels; here the last of three blocks is partial."""
+        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
+        monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES", 1 << 10)
+        dispatched = _dispatch_spy(monkeypatch)
+        n, c, h, w, k = 1, 5, 5, 6, 5
+        column_bytes = n * (h - k + 1) * (w - k + 1) * k * k * 8  # per channel
+        block = (1 << 10) // column_bytes
+        assert block > 1 and c % block
+        _compare(n, c, h, w, c, k, 1, 0, c, seed=15)
+        assert dispatched == ["dwconv2d"]
 
     def test_external_input_skips_input_grad(self, monkeypatch):
         monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
+        dispatched = _dispatch_spy(monkeypatch)
         rng = np.random.default_rng(12)
-        x = tensor(rng.normal(size=(1, 3, 8, 8)))  # graph-external
+        x = tensor(rng.normal(size=(1, 3, 8, 9)))  # graph-external
         w = tensor(rng.normal(size=(3, 1, 5, 5)), requires_grad=True)
         out = conv2d(x, w, stride=1, padding=2, groups=3)
         out.backward(np.ones(out.shape))
-        assert w.grad is not None and np.abs(w.grad).sum() > 0
+        assert dispatched == ["dwconv2d"]
+        assert x.grad is None
+        w_ref = tensor(w.data, requires_grad=True)
+        out_ref = _reference_conv2d(tensor(x.data, requires_grad=True), w_ref,
+                                    stride=1, padding=2, groups=3)
+        out_ref.backward(np.ones(out_ref.shape))
+        np.testing.assert_allclose(w.grad, w_ref.grad, atol=1e-10)
 
     @pytest.mark.parametrize("stride,k", [(2, 5), (1, 3)])
     def test_unprofitable_shapes_stay_on_im2col(self, stride, k, monkeypatch):
