@@ -4,21 +4,23 @@ backward, on shapes either side of ``_DW_DIRECT_MIN_ELEMS``.
 
 Both kernels run on the same padded float32 input with one BLAS thread, as
 the repository benchmark runs them.  They are timed interleaved, one call
-each per round, and each cell is the minimum over the rounds.  The output
-is the markdown table in ``docs/performance.md``; ``direct/im2col`` below
-1 means the direct kernel is faster.
+each per round, and each cell is the minimum over ``ROUNDS`` rounds.  The
+output is the markdown table in ``docs/performance.md``; ``direct/im2col``
+below 1 means the direct kernel is faster.
 
 Run directly::
 
-    PYTHONPATH=src python tools/dw_crossover.py --rounds 50
+    PYTHONPATH=src python tools/dw_crossover.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+
+#: Interleaved timing rounds per shape; each cell is the minimum over them.
+ROUNDS = 40
 
 #: ``(N, C, oH, oW, k, where it runs)``: output shapes of stride-1 depthwise
 #: convolutions, from a few below the threshold to the largest ones of a
@@ -47,12 +49,8 @@ def _fwd_bwd(kernel, x, w, g) -> None:
     out.backward(g)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     """Print the crossover table."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=50,
-                        help="interleaved timing rounds per shape")
-    args = parser.parse_args(argv)
     if "numpy" in sys.modules:
         raise RuntimeError("numpy was imported before the BLAS threads were set")
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -76,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         w = rng.normal(size=(c, 1, k, k)).astype(np.float32)
         g = rng.normal(size=(n, c, out_h, out_w)).astype(np.float32)
         best = {name: float("inf") for name in kernels}
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             for name, kernel in kernels.items():
                 start = time.perf_counter()
                 _fwd_bwd(kernel, x, w, g)
