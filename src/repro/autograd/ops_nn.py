@@ -19,12 +19,20 @@ channel-major column matrix turns its forward and weight gradient into one
 matrix-vector product per channel, and its input gradient is k²
 shift-accumulate taps.
 
+The runtime's out-buffer :func:`conv2d_into` keeps im2col for dense and
+grouped convolutions only.  Every depthwise convolution there runs the
+channels-last kernel (:func:`_depthwise_into`): one einsum over a
+``(oH, oW, k, k, N, C)`` window view of the padded input, whose innermost
+axis is the contiguous ``N·C`` one.
+
 The original shift-and-accumulate implementation is retained as
 :func:`_reference_conv2d` — a slow, independently-written oracle used by the
 equivalence tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -802,10 +810,77 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 #
 # Autograd-free ndarray kernels used by the compiled runtime
 # (repro.runtime.engine).  Each accepts preallocated output/scratch buffers so
-# a static execution plan can run without any per-op allocation: `out` is the
-# destination (arena slice), `pad_buf` holds the padded input and `cols` the
-# materialised im2col columns.  Passing None for any buffer falls back to a
-# fresh allocation, which keeps the kernels usable standalone.
+# a static execution plan runs without allocating activations or scratch per
+# op: `out` is the destination (arena slice), `pad_buf` holds the padded input
+# and `cols` the materialised im2col columns (a depthwise convolution keeps its
+# channels-last padded input and accumulator there instead, and copies its
+# C·k² taps per call).  Passing None for any buffer falls back to a fresh
+# allocation, which keeps the kernels usable standalone.
+
+def _scratch(
+    buf: np.ndarray | None, shape: tuple[int, ...], dtype: np.dtype
+) -> np.ndarray:
+    """``shape``-sized view of the flat prefix of scratch ``buf``.
+
+    Any buffer with enough elements serves, whatever shape the plan gave it:
+    a plan saved before the depthwise kernel went channels-last still holds
+    k²-sized column buffers there.  ``None`` allocates.
+
+    Raises:
+        ValueError: If ``buf`` holds fewer elements than ``shape`` needs.
+    """
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    size = math.prod(shape)
+    flat = buf.reshape(-1)
+    if flat.size < size:
+        raise ValueError(
+            f"scratch of {flat.size} elements cannot hold {shape}"
+        )
+    return flat[:size].reshape(shape)
+
+
+def _depthwise_into(
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int,
+    padding: int,
+    out: np.ndarray,
+    pad_buf: np.ndarray | None,
+    acc_buf: np.ndarray | None,
+) -> None:
+    """Channels-last depthwise convolution of NCHW ``x`` into NCHW ``out``.
+
+    The zero-padded input is copied once into ``pad_buf`` as
+    ``(Hp, Wp, N, C)``, and one einsum contracts its ``(oH, oW, k, k, N, C)``
+    window view against a contiguous ``(k, k, C)`` copy of the taps into
+    ``acc_buf`` as ``(oH, oW, N, C)``, which is then copied to ``out``.  Every
+    operand's innermost axis is the contiguous channel axis, where im2col
+    would copy k² times the output into columns and run N·C GEMMs of one
+    row.  The taps must be a contiguous copy, and the einsum must not write
+    into a transposed view of ``out``: both measured several times slower.
+    """
+    n, c, h, w = x.shape
+    _, _, k_h, k_w = weight.shape
+    out_h, out_w = out.shape[2], out.shape[3]
+    xp = _scratch(pad_buf, (h + 2 * padding, w + 2 * padding, n, c), x.dtype)
+    if padding:
+        xp.fill(0.0)
+    xp[padding:padding + h, padding:padding + w] = x.transpose(2, 3, 0, 1)
+    # The ndarray constructor builds the window view in a fraction of
+    # as_strided's Python overhead, which shows on 1x1 to 4x4 outputs.
+    s_h, s_w, s_n, s_c = xp.strides
+    windows = np.ndarray(
+        (out_h, out_w, k_h, k_w, n, c), xp.dtype, xp, 0,
+        (s_h * stride, s_w * stride, s_h, s_w, s_n, s_c),
+    )
+    taps = np.ascontiguousarray(weight.reshape(c, k_h * k_w).T)
+    acc = _scratch(acc_buf, (out_h, out_w, n, c), x.dtype)
+    np.einsum(
+        "hwijnc,ijc->hwnc", windows, taps.reshape(k_h, k_w, c), out=acc
+    )
+    np.copyto(out, acc.transpose(2, 3, 0, 1))
+
 
 def conv2d_into(
     x: np.ndarray,
@@ -823,49 +898,59 @@ def conv2d_into(
 ) -> np.ndarray:
     """Inference convolution writing into ``out`` (bias + activation fused).
 
-    Same im2col + one-batched-matmul formulation as :func:`conv2d`, but on
-    plain arrays with no graph: the columns land in ``cols`` (zero-copy view
-    for 1x1/stride-1), the GEMM writes straight into ``out`` via
-    ``np.matmul(..., out=...)``, and bias add plus ``relu``/``relu6`` happen
-    in place.  ``residual`` is accumulated into ``out`` after the bias and
-    before the activation — the conv+add fusion the runtime engine uses for
-    residual blocks (one pass over the output instead of a separate add op
-    and buffer).  Returns ``out``.
+    Dense and grouped convolutions use the im2col + one-batched-matmul
+    formulation of :func:`conv2d`, on plain arrays with no graph: the
+    padded input lands in ``pad_buf``, the columns in ``cols`` (zero-copy
+    view for 1x1/stride-1), and the GEMM writes straight into ``out`` via
+    ``np.matmul(..., out=...)``.  A depthwise convolution
+    (``groups == C_in == C_out > 1``) runs the channels-last kernel
+    :func:`_depthwise_into` instead, with its padded input in ``pad_buf`` and
+    its accumulator in ``cols``; each uses the flat prefix of its buffer and
+    allocates when it is ``None``.  Bias add plus ``relu``/``relu6`` then
+    happen in place.  ``residual`` is accumulated into ``out`` after the
+    bias and before the activation — the conv+add fusion the runtime engine
+    uses for residual blocks (one pass over the output instead of a separate
+    add op and buffer).  Returns ``out``.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_g, k_h, k_w = weight.shape
-    if padding:
-        if pad_buf is None:
-            pad_buf = np.zeros(
-                (n, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype
-            )
-        else:
-            pad_buf.fill(0.0)
-        pad_buf[:, :, padding:padding + h, padding:padding + w] = x
-        src = pad_buf
-    else:
-        src = x
-    out_h = _conv_output_size(src.shape[2], k_h, stride)
-    out_w = _conv_output_size(src.shape[3], k_w, stride)
+    out_h = _conv_output_size(h + 2 * padding, k_h, stride)
+    out_w = _conv_output_size(w + 2 * padding, k_w, stride)
     if out is None:
         out = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
-    w_mat = weight.reshape(groups, c_out // groups, c_in_g * k_h * k_w)
-    if k_h == 1 and k_w == 1 and stride == 1:
-        # Contiguous input: the column matrix is a free reshape.
-        col_view = src.reshape(n, groups, c_in_g, out_h * out_w)
+    if groups == c_in == c_out > 1:
+        _depthwise_into(x, weight, stride, padding, out, pad_buf, cols)
     else:
-        view = _window_view(src, k_h, k_w, stride)
-        if cols is None:
-            cols = np.empty(
-                (n, c_in, k_h, k_w, out_h, out_w), dtype=x.dtype
+        if padding:
+            if pad_buf is None:
+                pad_buf = np.zeros(
+                    (n, c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype
+                )
+            else:
+                pad_buf.fill(0.0)
+            pad_buf[:, :, padding:padding + h, padding:padding + w] = x
+            src = pad_buf
+        else:
+            src = x
+        w_mat = weight.reshape(groups, c_out // groups, c_in_g * k_h * k_w)
+        if k_h == 1 and k_w == 1 and stride == 1:
+            # Contiguous input: the column matrix is a free reshape.
+            col_view = src.reshape(n, groups, c_in_g, out_h * out_w)
+        else:
+            view = _window_view(src, k_h, k_w, stride)
+            if cols is None:
+                cols = np.empty(
+                    (n, c_in, k_h, k_w, out_h, out_w), dtype=x.dtype
+                )
+            col6 = cols.reshape(n, c_in, k_h, k_w, out_h, out_w)
+            np.copyto(col6, view)
+            col_view = col6.reshape(
+                n, groups, c_in_g * k_h * k_w, out_h * out_w
             )
-        col6 = cols.reshape(n, c_in, k_h, k_w, out_h, out_w)
-        np.copyto(col6, view)
-        col_view = col6.reshape(n, groups, c_in_g * k_h * k_w, out_h * out_w)
-    np.matmul(
-        w_mat[None], col_view,
-        out=out.reshape(n, groups, c_out // groups, out_h * out_w),
-    )
+        np.matmul(
+            w_mat[None], col_view,
+            out=out.reshape(n, groups, c_out // groups, out_h * out_w),
+        )
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     if residual is not None:

@@ -21,8 +21,9 @@ Commands
 ``compile``  lower a model into a static execution plan and save it to disk
              (``.npz``) for cold-start-free deployment.
 ``infer``    compile a model into the inference runtime and time
-             ``Engine.run`` (``--compare`` adds the module-forward baseline;
-             ``--plan`` runs a previously saved plan instead;
+             ``Engine.run`` (``--compare`` adds the module-forward baseline
+             and the largest output difference from it; ``--plan`` runs a
+             previously saved plan instead;
              ``--profile`` prints a per-op table joining measured times
              against the analytic per-op prediction).
 ``serve``    round-trip requests through a multi-worker
@@ -382,7 +383,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         # Same effective precision as the compiled plan (None falls back to
         # the spec annotation in both paths), so the comparison is
         # apples-to-apples.
-        net(xt, bits=args.bits)
+        expected = net(xt, bits=args.bits).data
         import time as _time
 
         fwd = []
@@ -394,6 +395,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         payload["compare"] = {
             "forward_latency_ms": forward_summary,
             "speedup": forward_summary["p50"] / payload["latency_ms"]["p50"],
+            "max_abs_diff": float(np.max(np.abs(out - expected))),
         }
     if args.profile:
         from repro.obs import profile_report
@@ -418,7 +420,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         cmp = payload["compare"]
         print(f"BuiltNetwork.forward p50 "
               f"{cmp['forward_latency_ms']['p50']:.2f} ms "
-              f"-> {cmp['speedup']:.1f}x speedup")
+              f"-> {cmp['speedup']:.1f}x speedup, "
+              f"max |diff| {cmp['max_abs_diff']:.1e}")
     if args.profile:
         from repro.obs import render_profile_table
 
@@ -765,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timed repetitions after one warm-up run")
     p_infer.add_argument("--compare", action="store_true",
                          help="also time BuiltNetwork.forward and report the "
-                              "speedup")
+                              "speedup and the largest output difference")
     p_infer.add_argument("--profile", action="store_true",
                          help="time every plan op and print a per-op table "
                               "(joined against the analytic per-op "

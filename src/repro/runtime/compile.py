@@ -14,9 +14,11 @@ out:
   compile time through the *same* :func:`repro.nas.quantization.fake_quantize`
   code path the training forward uses, so the baked plan reproduces
   ``BuiltNetwork.forward(x, bits=...)`` exactly.
-* **Scratch planning** — each convolution registers its padded-input and
-  im2col column buffers as plan scratch, which the arena planner folds into
-  reused space.
+* **Scratch planning** — each convolution registers its scratch, which the
+  arena planner folds into reused space: a dense or grouped conv its
+  padded input and im2col columns, a depthwise conv its channels-last
+  padded input (also at padding 0) and output accumulator, ``(C, Hp, Wp)``
+  and ``(C, oH, oW)`` per sample.
 
 The result executes conv -> activation only; see
 :class:`repro.runtime.engine.Engine` for the executor.
@@ -122,18 +124,24 @@ def _lower_conv_unit(
     out_h, out_w = _conv_geometry(in_shape, conv.kernel_size, conv.stride,
                                   conv.padding)
     weight, bias = _fold_conv_bn(conv, unit.bn, bits, b.dtype)
+    depthwise = conv.groups == c_in == conv.out_channels > 1
     scratch: list[int] = []
     attrs = {
         "stride": conv.stride, "padding": conv.padding, "groups": conv.groups,
         "kernel": conv.kernel_size, "pad_buf": None, "col_buf": None,
         "add_buf": residual_in,
     }
-    if conv.padding:
+    # A depthwise conv always copies its input channels-last, and its
+    # col_buf holds the (oH, oW, N, C) accumulator, not k² columns.
+    if conv.padding or depthwise:
         attrs["pad_buf"] = b.buffer(
             (c_in, h + 2 * conv.padding, w + 2 * conv.padding), role="scratch"
         )
         scratch.append(attrs["pad_buf"])
-    if not (conv.kernel_size == 1 and conv.stride == 1):
+    if depthwise:
+        attrs["col_buf"] = b.buffer((c_in, out_h, out_w), role="scratch")
+        scratch.append(attrs["col_buf"])
+    elif not (conv.kernel_size == 1 and conv.stride == 1):
         attrs["col_buf"] = b.buffer(
             (c_in, conv.kernel_size, conv.kernel_size, out_h, out_w),
             role="scratch",
@@ -150,7 +158,7 @@ def _lower_conv_unit(
         weight=weight, bias=bias, act="relu6" if unit.act else None,
         scratch=tuple(scratch),
         label=f"conv{conv.kernel_size}x{conv.kernel_size}"
-              f"{'dw' if conv.groups == c_in and conv.groups > 1 else ''}"
+              f"{'dw' if depthwise else ''}"
               f"{'+add' if residual_in is not None else ''}",
     ))
     return out_buf, out_shape

@@ -2,8 +2,9 @@
 
 :class:`Engine` runs an :class:`~repro.runtime.plan.ExecutionPlan` with the
 out-buffer inference kernels of :mod:`repro.autograd.ops_nn`: every op reads
-and writes slices of one arena array, so a steady-state ``run`` call performs
-no per-op allocation — the headroom ROADMAP attributes to
+and writes slices of one arena array, so a steady-state ``run`` call
+allocates no activation or scratch per op (a depthwise conv copies only its
+``C·k²`` taps) — the headroom ROADMAP attributes to
 ``BuiltNetwork.forward`` (graph construction + fresh arrays per op) is gone.
 
 Because every buffer scales linearly with the batch, the per-sample arena

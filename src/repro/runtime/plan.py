@@ -3,10 +3,11 @@
 An :class:`ExecutionPlan` is what :func:`repro.runtime.compile_spec` lowers a
 network into: a topologically-ordered list of :class:`PlanOp` records over a
 flat table of :class:`BufferSpec` slots.  Every tensor the plan touches —
-activations, padded-input scratch, im2col column scratch — is a buffer with a
-*per-sample* shape; the arena planner (:mod:`repro.runtime.arena`) later
-assigns each buffer an offset in one preallocated arena, and the executor
-(:mod:`repro.runtime.engine`) scales offsets linearly with the batch size.
+activations and conv scratch (padded inputs, im2col columns, depthwise
+accumulators) — is a buffer with a *per-sample* shape; the arena planner
+(:mod:`repro.runtime.arena`) later assigns each buffer an offset in one
+preallocated arena, and the executor (:mod:`repro.runtime.engine`) scales
+offsets linearly with the batch size.
 
 Weights are baked into the ops at compile time: BatchNorm is folded into the
 convolution weights/bias and fake-quantisation is applied once, so the plan
@@ -54,9 +55,13 @@ class BufferSpec:
     """One arena slot: a tensor with a fixed *per-sample* shape.
 
     ``role`` distinguishes the network input/output from ordinary
-    activations and from op-local scratch (padded inputs, im2col columns) —
-    scratch buffers are live only during the op that uses them, which is what
-    lets the arena planner fold them into reused space.
+    activations and from op-local scratch — scratch buffers are live only
+    during the op that uses them, which is what lets the arena planner fold
+    them into reused space.  A conv's ``pad_buf`` holds its padded input and
+    its ``col_buf`` its im2col columns, except that a depthwise conv keeps
+    its input channels-last in ``pad_buf`` and its output accumulator in
+    ``col_buf``.  A kernel reads only as many elements of a scratch buffer as
+    it needs, so a scratch shape gives a size, not a layout.
     """
 
     id: int

@@ -5,7 +5,9 @@ implementation kept verbatim as an independent reference).
 Forward values and both backward gradients (input and weight) must match
 across strides, paddings, group counts (dense / grouped / depthwise), odd
 spatial shapes, the batch-chunked large-column path, and the direct
-depthwise kernel on both sides of its size threshold.
+depthwise kernel on both sides of its size threshold.  The runtime's
+channels-last depthwise kernel (``conv2d_into``) must match the oracle's
+forward with its fused bias, residual and activation.
 """
 
 import numpy as np
@@ -274,3 +276,84 @@ class TestDepthwiseDirectEquivalence:
         w = tensor(rng.normal(size=(3, 1, k, k)), requires_grad=True)
         out = conv2d(x, w, stride=stride, padding=k // 2, groups=3)
         out.backward(np.ones(out.shape))
+
+
+@st.composite
+def _depthwise_into_cases(draw):
+    """Depthwise ``conv2d_into`` geometry, fused tail and scratch mode.
+
+    Inputs are non-square (``h != w``) except the 1x1 maps the zoo's last
+    stages reach; ``planned`` passes scratch at the per-sample shapes
+    ``compile_spec`` registers, batch axis first as the engine views it.
+    """
+    k = draw(st.sampled_from([3, 5, 7]))
+    padding = draw(st.integers(0, k // 2))
+    low = max(1, k - 2 * padding)
+    h = draw(st.integers(low, low + 9))
+    w = draw(st.integers(low, low + 9).filter(lambda v: v != h or v == 1))
+    return {
+        "n": draw(st.integers(1, 3)), "c": draw(st.integers(2, 8)),
+        "h": h, "w": w, "k": k, "stride": draw(st.sampled_from([1, 2])),
+        "padding": padding, "bias": draw(st.booleans()),
+        "residual": draw(st.booleans()),
+        "act": draw(st.sampled_from([None, "relu6"])),
+        "planned": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_depthwise_into_cases())
+@example(case={"n": 2, "c": 8, "h": 1, "w": 1, "k": 7, "stride": 1,
+               "padding": 3, "bias": True, "residual": False,
+               "act": "relu6", "planned": True})
+@example(case={"n": 3, "c": 5, "h": 9, "w": 6, "k": 5, "stride": 2,
+               "padding": 0, "bias": True, "residual": True, "act": None,
+               "planned": True})
+def test_depthwise_into_matches_reference(case):
+    """The runtime's channels-last depthwise kernel matches the oracle, and
+    every depthwise ``conv2d_into`` call runs it rather than im2col."""
+    n, c, h, w, k = (case[key] for key in ("n", "c", "h", "w", "k"))
+    stride, padding = case["stride"], case["padding"]
+    rng = np.random.default_rng(n * 10_000 + c * 1000 + h * 100 + w * 10 + k)
+    x = rng.normal(size=(n, c, h, w))
+    weight = rng.normal(size=(c, 1, k, k))
+    expected = _reference_conv2d(
+        tensor(x), tensor(weight), stride=stride, padding=padding, groups=c
+    ).data
+    bias = residual = pad_buf = cols = None
+    if case["bias"]:
+        bias = rng.normal(size=c)
+        expected = expected + bias.reshape(1, c, 1, 1)
+    if case["residual"]:
+        residual = rng.normal(size=expected.shape)
+        expected = expected + residual
+    if case["act"] == "relu6":
+        expected = np.clip(expected, 0.0, 6.0)
+    out_h, out_w = expected.shape[2:]
+    if case["planned"]:
+        # Stale scratch must not leak into the result.
+        pad_buf = np.full((n, c, h + 2 * padding, w + 2 * padding), np.nan)
+        cols = np.full((n, c, out_h, out_w), np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        ran = []
+        real = ops_nn._depthwise_into
+
+        def spy(*args):
+            ran.append("depthwise")
+            return real(*args)
+
+        mp.setattr(ops_nn, "_depthwise_into", spy)
+        out = ops_nn.conv2d_into(
+            x, weight, stride=stride, padding=padding, groups=c, bias=bias,
+            act=case["act"], out=np.full(expected.shape, np.nan),
+            pad_buf=pad_buf, cols=cols, residual=residual,
+        )
+    assert ran == ["depthwise"]
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+
+def test_depthwise_into_rejects_short_scratch():
+    x = np.ones((1, 4, 5, 5))
+    with pytest.raises(ValueError, match="cannot hold"):
+        ops_nn.conv2d_into(x, np.ones((4, 1, 3, 3)), padding=1, groups=4,
+                           cols=np.empty(4 * 5 * 5 - 1))

@@ -104,3 +104,22 @@ class TestPlannerInvariants:
         assert len(col_bufs) > 3
         offsets = {layout.offsets[buf] for buf in col_bufs}
         assert len(offsets) < len(col_bufs)
+
+    def test_depthwise_scratch_is_padded_input_plus_output(self):
+        """A depthwise conv plans its channels-last padded input and output
+        accumulator, never k²-sized columns: at most C·(Hp·Wp + oH·oW)
+        scratch elements per sample."""
+        checked = 0
+        for name in BUILDABLE:
+            plan = _plan(name)
+            for op in plan.ops:
+                if op.kind != "conv" or "dw" not in op.label:
+                    continue
+                c, h, w = plan.buffer(op.inputs[0]).shape
+                _, out_h, out_w = plan.buffer(op.output).shape
+                pad = 2 * op.attrs["padding"]
+                scratch = sum(plan.buffer(buf).elems for buf in op.scratch)
+                bound = c * ((h + pad) * (w + pad) + out_h * out_w)
+                assert scratch <= bound, (name, op.label)
+                checked += 1
+        assert checked > 100

@@ -76,6 +76,7 @@ class TestInferCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["compare"]["speedup"] > 0
         assert payload["compare"]["forward_latency_ms"]["p50"] > 0
+        assert payload["compare"]["max_abs_diff"] <= 1e-4
 
     def test_text_output(self, capsys):
         code = main(["infer", "--model", "MobileNet-V2", *SCALE, "--runs", "2"])
