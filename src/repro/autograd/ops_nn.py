@@ -1,28 +1,22 @@
 """Neural-network primitives: matmul, conv2d (grouped/depthwise), pooling,
 activations and log-softmax, plus the out-buffer kernels of the runtime.
 
-``conv2d`` is formulated on im2col/col2im: a stride-tricks window view of the
-input is reshaped into a column matrix and contracted against the flattened
-kernel with **one batched matmul** per convolution — no Python loops over
-kernel offsets or groups.  Dense, depthwise and grouped convolutions all run
-this path (a depthwise conv is just ``groups == channels``).  Its backward
-pass is two more matmuls: the weight gradient contracts the columns against
-the output gradient, and the input gradient is the transposed convolution —
-one correlation of the stride-dilated output gradient with the flipped
-kernel (:func:`_conv_input_grad_dilated`) at stride 1 and for small
-problems, and its ``stride²`` dense phases (:func:`_conv_input_grad_phased`)
-otherwise.
+Dense and grouped ``conv2d`` are formulated on im2col/col2im: a
+stride-tricks window view of the padded input is reshaped into a column
+matrix and contracted against the flattened kernel with **one batched
+matmul** per convolution — no Python loops over kernel offsets or groups.
+Its backward pass is two more matmuls: the weight gradient contracts the
+columns against the output gradient, and the input gradient is the
+transposed convolution — one correlation of the stride-dilated output
+gradient with the flipped kernel (:func:`_conv_input_grad_dilated`) at
+stride 1 and for small problems, and its ``stride²`` dense phases
+(:func:`_conv_input_grad_phased`) otherwise.
 
-The one exception is a large stride-1 depthwise convolution with a 5x5+
-kernel, which runs the direct kernel (:func:`_depthwise_direct`): a
-channel-major column matrix turns its forward and weight gradient into one
-matrix-vector product per channel, and its input gradient is k²
-shift-accumulate taps.
-
-The runtime's out-buffer :func:`conv2d_into` keeps im2col for dense and
-grouped convolutions only.  Every depthwise convolution there runs the
-channels-last kernel (:func:`_depthwise_into`): one einsum over a
-``(oH, oW, k, k, N, C)`` window view of the padded input, whose innermost
+Every depthwise convolution (``groups == C_in == C_out > 1``) runs
+channels-last instead, in training (:func:`_depthwise_conv`, one graph node)
+and in the runtime's out-buffer :func:`conv2d_into`
+(:func:`_depthwise_into`): einsums over an ``(oH, oW, k, k, N, C)`` window
+view of the padded input (:func:`_channels_last_windows`), whose innermost
 axis is the contiguous ``N·C`` one.
 
 The original shift-and-accumulate implementation is retained as
@@ -269,18 +263,18 @@ def _conv_input_grad(
     return _conv_input_grad_phased(grad, w_data, x_shape, stride, groups)
 
 
-# Materialized column matrices above this size are processed in chunks (batch
-# chunks in _im2col_conv, channel blocks in _depthwise_direct): allocations
-# past glibc's mmap threshold cap (32 MiB) page-fault on every conv, which
-# costs far more than the extra python iterations of cache blocking.  Below
-# the cap the allocator recycles the buffers, so _im2col_conv captures the
-# columns for the backward instead of recomputing them.
+# Materialized column matrices above this size are processed in batch chunks
+# by _im2col_conv: allocations past glibc's mmap threshold cap (32 MiB)
+# page-fault on every conv, which costs far more than the extra python
+# iterations of cache blocking.  Below the cap the allocator recycles the
+# buffers, so _im2col_conv captures the columns for the backward instead of
+# recomputing them.  Depthwise convolutions build no columns.
 _COL_CHUNK_BYTES = 24 << 20
 
 
 def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
                  op_name: str) -> Tensor:
-    """Shared forward/backward for every conv flavour (already-padded input)."""
+    """Shared forward/backward of dense and grouped convs (already-padded input)."""
     x_data, w_data = xp.data, weight.data
     n = x_data.shape[0]
     c_out, c_in_g, k_h, k_w = w_data.shape
@@ -359,80 +353,78 @@ def _im2col_conv(xp: Tensor, weight: Tensor, stride: int, groups: int,
     return make_op(out, (xp, weight), backward_chunked, op_name)
 
 
-#: Below this much tap work (``N*C*oH*oW*kH*kW`` multiply-accumulates)
-#: :func:`conv2d` keeps stride-1 depthwise convolutions on im2col.  Output
-#: and kernel size, not tap count, decide which kernel is faster (see the
-#: measured crossover in docs/performance.md).  Most tests pin it to 0 to
-#: force the direct path at unit-test sizes.
-_DW_DIRECT_MIN_ELEMS = 100_000
+def _channels_last_windows(
+    xp: np.ndarray, out_h: int, out_w: int, k_h: int, k_w: int, stride: int,
+    start: int = 0,
+) -> np.ndarray:
+    """``(oH, oW, kH, kW, N, C)`` window view of channels-last ``xp``.
 
-
-def _depthwise_direct(xp: Tensor, weight: Tensor, op_name: str) -> Tensor:
-    """Direct depthwise convolution (stride 1, already-padded input).
-
-    The im2col formulation runs a depthwise stage as ``N*C`` (1, k²) x
-    (k², oH*oW) GEMMs, one per sample and channel.  This node instead
-    lays the windows out channel-major, as one ``(C, N*oH*oW, k²)`` column
-    matrix built from :func:`_window_view`, so each channel is a single
-    matrix-vector product over the whole batch:
-
-    * forward: ``cols @ w.reshape(C, k², 1)``, then one contiguous
-      transpose of the ``(C, N, oH, oW)`` result back to NCHW;
-    * weight grad: the channel-major output gradient ``(C, 1, N*oH*oW)``
-      times the same columns, rebuilt in the backward instead of held on
-      the tape;
-    * input grad: k² shift-accumulate taps
-      ``gx[:, :, i:i+oH, j:j+oW] += g * w[:, i, j]``.
-
-    Columns are built for blocks of channels of at most
-    :data:`_COL_CHUNK_BYTES` each, which bounds memory as
-    :func:`_im2col_conv` does.  k == 3 and strided cases stay on im2col
-    (:func:`conv2d` dispatches only stride-1 kernels of 5+ taps here).
+    ``xp`` is a whole contiguous ``(Hp, Wp, N, C)`` array; the windows begin
+    ``start`` rows and columns in.  The ndarray constructor builds the view
+    in a fraction of ``as_strided``'s Python overhead, which shows on 1x1 to
+    4x4 outputs, and it rejects a sliced ``xp``, hence the byte offset.
     """
-    x_data, w_data = xp.data, weight.data
-    n, c, h, w = x_data.shape
-    k = w_data.shape[2]
-    out_h = _conv_output_size(h, k, 1)
-    out_w = _conv_output_size(w, k, 1)
-    rows = n * out_h * out_w
-    taps = w_data.reshape(c, k * k, 1)
-    block = max(1, _COL_CHUNK_BYTES // (rows * k * k * x_data.itemsize))
-    blocks = [slice(start, start + block) for start in range(0, c, block)]
-
-    def columns(sl: slice) -> np.ndarray:
-        win = _window_view(x_data[:, sl], k, k, 1)
-        return np.ascontiguousarray(win.transpose(1, 0, 4, 5, 2, 3)).reshape(
-            -1, rows, k * k
-        )
-
-    out_cm = np.empty((c, rows, 1), dtype=x_data.dtype)
-    for sl in blocks:
-        np.matmul(columns(sl), taps[sl], out=out_cm[sl])
-    out = np.ascontiguousarray(
-        out_cm.reshape(c, n, out_h, out_w).transpose(1, 0, 2, 3)
+    s_h, s_w, s_n, s_c = xp.strides
+    return np.ndarray(
+        (out_h, out_w, k_h, k_w) + xp.shape[2:], xp.dtype, xp,
+        start * (s_h + s_w),
+        (s_h * stride, s_w * stride, s_h, s_w, s_n, s_c),
     )
-    need_input_grad = xp.requires_grad or xp.backward_fn is not None
+
+
+def _depthwise_taps(w_data: np.ndarray) -> np.ndarray:
+    """Contiguous ``(kH, kW, C)`` copy of depthwise ``(C, 1, kH, kW)`` taps."""
+    c, _, k_h, k_w = w_data.shape
+    return np.ascontiguousarray(w_data.reshape(c, k_h * k_w).T).reshape(k_h, k_w, c)
+
+
+def _depthwise_conv(x: Tensor, weight: Tensor, stride: int, padding: int) -> Tensor:
+    """Depthwise convolution (``groups == C_in == C_out``) as one graph node.
+
+    Every operand is channels-last, so each einsum runs its inner loop over
+    the contiguous ``N·C`` axis, where im2col would copy k² times the output
+    into columns and run N·C GEMMs of one row:
+
+    * forward: the runtime kernel :func:`_depthwise_into`, with its padded
+      ``(Hp, Wp, N, C)`` copy of ``x`` kept on the tape (the padding happens
+      in that copy);
+    * weight grad: ``einsum("hwijnc,hwnc->ijc")`` of the forward's window
+      view and the ``(oH, oW, N, C)`` output gradient;
+    * input grad: the output gradient lands at its stride-dilated positions
+      of a zero ``(Hp+kH-1, Wp+kW-1, N, C)`` canvas, which is correlated
+      with the flipped taps over the ``H×W`` interior only (windows start
+      ``padding`` in), at every stride.  It is skipped for a graph-external
+      input.
+    """
+    x_data, w_data = x.data, weight.data
+    n, c, h, w = x_data.shape
+    _, _, k_h, k_w = w_data.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out_h = _conv_output_size(hp, k_h, stride)
+    out_w = _conv_output_size(wp, k_w, stride)
+    xp = np.empty((hp, wp, n, c), dtype=x_data.dtype)
+    out = np.empty((n, c, out_h, out_w), dtype=x_data.dtype)
+    _depthwise_into(x_data, w_data, stride, padding, out, xp, None)
+    need_input_grad = x.requires_grad or x.backward_fn is not None
 
     def backward(grad: np.ndarray):
-        grad_cm = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(
-            c, 1, rows
-        )
-        grad_w = np.empty((c, 1, k * k), dtype=w_data.dtype)
-        for sl in blocks:
-            np.matmul(grad_cm[sl], columns(sl), out=grad_w[sl])
-        grad_w = grad_w.reshape(w_data.shape)
+        windows = _channels_last_windows(xp, out_h, out_w, k_h, k_w, stride)
+        grad_cl = np.ascontiguousarray(grad.transpose(2, 3, 0, 1))
+        grad_w = np.einsum("hwijnc,hwnc->ijc", windows, grad_cl)
+        grad_w = np.ascontiguousarray(grad_w.transpose(2, 0, 1)).reshape(w_data.shape)
         if not need_input_grad:
             return None, grad_w
-        w2 = w_data.reshape(c, k, k)
-        grad_x = np.zeros(x_data.shape, dtype=grad.dtype)
-        scratch = np.empty((n, c, out_h, out_w), dtype=grad.dtype)
-        for i in range(k):
-            for j in range(k):
-                np.multiply(grad, w2[:, i, j][None, :, None, None], out=scratch)
-                grad_x[:, :, i : i + out_h, j : j + out_w] += scratch
-        return grad_x, grad_w
+        canvas = np.zeros((hp + k_h - 1, wp + k_w - 1, n, c), dtype=grad.dtype)
+        canvas[
+            k_h - 1 : k_h - 1 + (out_h - 1) * stride + 1 : stride,
+            k_w - 1 : k_w - 1 + (out_w - 1) * stride + 1 : stride,
+        ] = grad_cl
+        interior = _channels_last_windows(canvas, h, w, k_h, k_w, 1, start=padding)
+        flipped = np.ascontiguousarray(_depthwise_taps(w_data)[::-1, ::-1])
+        grad_x = np.einsum("hwijnc,ijc->hwnc", interior, flipped)
+        return np.ascontiguousarray(grad_x.transpose(2, 3, 0, 1)), grad_w
 
-    return make_op(out, (xp, weight), backward, op_name)
+    return make_op(out, (x, weight), backward, "dwconv2d")
 
 
 def conv2d(
@@ -446,15 +438,14 @@ def conv2d(
 
     ``weight`` is shaped ``(C_out, C_in // groups, kH, kW)``.  ``groups == 1``
     is a dense convolution; ``groups == C_in`` with a channel multiplier of 1
-    is a depthwise convolution (the MBConv middle layer).  Every group count
-    runs the im2col + batched-matmul path, except stride-1 depthwise
-    convolutions with square kernels of 5+ taps and at least
-    :data:`_DW_DIRECT_MIN_ELEMS` of tap work, which run
-    :func:`_depthwise_direct`.
+    is a depthwise convolution (the MBConv middle layer).  Every depthwise
+    convolution (``groups == C_in == C_out > 1``) is one channels-last graph
+    node (:func:`_depthwise_conv`) that pads its own input; dense and
+    grouped convolutions run the padded im2col + batched-matmul path.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
-    c_out, c_in_per_group, k_h, k_w = weight.shape
+    c_out, c_in_per_group = weight.shape[:2]
     c_in = x.shape[1]
     if c_in % groups or c_out % groups:
         raise ValueError(
@@ -466,27 +457,10 @@ def conv2d(
             f"{c_in // groups}"
         )
 
-    xp = pad2d(x, padding)
-    if groups == 1:
-        op_name = "conv2d"
-    elif groups == c_in and c_out == c_in:
-        op_name = "dwconv2d"
-        # Direct-kernel dispatch (see _depthwise_direct): stride-1 square
-        # kernels of 5+ taps at sizes where the im2col GEMM is the
-        # bottleneck rather than the python-level tap loop.
-        if (
-            stride == 1
-            and k_h == k_w
-            and k_h >= 5
-            and x.shape[0] * c_in * k_h * k_w
-            * _conv_output_size(x.shape[2] + 2 * padding, k_h, stride)
-            * _conv_output_size(x.shape[3] + 2 * padding, k_w, stride)
-            >= _DW_DIRECT_MIN_ELEMS
-        ):
-            return _depthwise_direct(xp, weight, op_name)
-    else:
-        op_name = "gconv2d"
-    return _im2col_conv(xp, weight, stride, groups, op_name)
+    if groups == c_in == c_out > 1:
+        return _depthwise_conv(x, weight, stride, padding)
+    op_name = "conv2d" if groups == 1 else "gconv2d"
+    return _im2col_conv(pad2d(x, padding), weight, stride, groups, op_name)
 
 
 def _reference_pad2d(a: Tensor, padding: int) -> Tensor:
@@ -859,6 +833,7 @@ def _depthwise_into(
     would copy k² times the output into columns and run N·C GEMMs of one
     row.  The taps must be a contiguous copy, and the einsum must not write
     into a transposed view of ``out``: both measured several times slower.
+    This is also the forward of the autograd node :func:`_depthwise_conv`.
     """
     n, c, h, w = x.shape
     _, _, k_h, k_w = weight.shape
@@ -867,18 +842,9 @@ def _depthwise_into(
     if padding:
         xp.fill(0.0)
     xp[padding:padding + h, padding:padding + w] = x.transpose(2, 3, 0, 1)
-    # The ndarray constructor builds the window view in a fraction of
-    # as_strided's Python overhead, which shows on 1x1 to 4x4 outputs.
-    s_h, s_w, s_n, s_c = xp.strides
-    windows = np.ndarray(
-        (out_h, out_w, k_h, k_w, n, c), xp.dtype, xp, 0,
-        (s_h * stride, s_w * stride, s_h, s_w, s_n, s_c),
-    )
-    taps = np.ascontiguousarray(weight.reshape(c, k_h * k_w).T)
+    windows = _channels_last_windows(xp, out_h, out_w, k_h, k_w, stride)
     acc = _scratch(acc_buf, (out_h, out_w, n, c), x.dtype)
-    np.einsum(
-        "hwijnc,ijc->hwnc", windows, taps.reshape(k_h, k_w, c), out=acc
-    )
+    np.einsum("hwijnc,ijc->hwnc", windows, _depthwise_taps(weight), out=acc)
     np.copyto(out, acc.transpose(2, 3, 0, 1))
 
 

@@ -4,10 +4,10 @@ implementation kept verbatim as an independent reference).
 
 Forward values and both backward gradients (input and weight) must match
 across strides, paddings, group counts (dense / grouped / depthwise), odd
-spatial shapes, the batch-chunked large-column path, and the direct
-depthwise kernel on both sides of its size threshold.  The runtime's
-channels-last depthwise kernel (``conv2d_into``) must match the oracle's
-forward with its fused bias, residual and activation.
+spatial shapes, the batch-chunked large-column path, and the channels-last
+depthwise node.  The runtime's channels-last depthwise kernel
+(``conv2d_into``) must match the oracle's forward with its fused bias,
+residual and activation.
 """
 
 import numpy as np
@@ -64,15 +64,23 @@ def test_conv_matches_reference(case, stride):
     _compare(n, c_in, h, w, c_out, k, stride, pad, groups, seed=stride)
 
 
-def test_chunked_path_matches_reference():
-    """Force the batch-chunked backward (columns above _COL_CHUNK_BYTES)."""
-    original = ops_nn._COL_CHUNK_BYTES
-    ops_nn._COL_CHUNK_BYTES = 1 << 10  # 1 KiB: everything chunks
-    try:
-        _compare(5, 6, 8, 8, 6, 3, 1, 1, groups=6, seed=11)
-        _compare(5, 4, 9, 7, 8, 3, 2, 1, groups=1, seed=12)
-    finally:
-        ops_nn._COL_CHUNK_BYTES = original
+def test_chunked_path_matches_reference(monkeypatch):
+    """Force the batch-chunked forward and backward (columns above
+    _COL_CHUNK_BYTES): every column matrix is then built per batch chunk."""
+    monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES", 1 << 10)  # 1 KiB
+    batches = []
+    real = ops_nn._im2col
+
+    def spy(x, *args):
+        batches.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(ops_nn, "_im2col", spy)
+    _compare(5, 6, 8, 8, 6, 3, 1, 1, groups=2, seed=11)
+    assert len(batches) > 1 and max(batches) < 5
+    batches.clear()
+    _compare(5, 4, 9, 7, 8, 3, 2, 1, groups=1, seed=12)
+    assert len(batches) > 1 and max(batches) < 5
 
 
 def test_input_grad_skipped_for_graph_external_input():
@@ -156,102 +164,67 @@ class TestMaxPoolEquivalence:
         assert x.grad.sum() == out.data.size
 
 
-def _dispatch_spy(mp) -> list[str]:
-    """Record every call :func:`conv2d` routes to ``_depthwise_direct``."""
-    dispatched = []
-    real = ops_nn._depthwise_direct
+def _no_im2col_or_pad(mp) -> None:
+    """Fail the test if a depthwise conv reaches the padded im2col path."""
 
-    def spy(xp, weight, op_name):
-        dispatched.append(op_name)
-        return real(xp, weight, op_name)
+    def boom(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("depthwise conv2d left the channels-last node")
 
-    mp.setattr(ops_nn, "_depthwise_direct", spy)
-    return dispatched
+    mp.setattr(ops_nn, "_im2col_conv", boom)
+    mp.setattr(ops_nn, "pad2d", boom)
 
 
 @st.composite
-def _direct_cases(draw):
-    """``(n, c, out_h, out_w, k, padding)`` with a non-square output."""
-    k = draw(st.sampled_from([5, 7]))
-    out_h = draw(st.integers(1, 24))
-    out_w = draw(st.integers(1, 24).filter(lambda v: v != out_h))
-    return (draw(st.integers(1, 3)), draw(st.integers(3, 8)), out_h, out_w, k,
-            draw(st.integers(0, k // 2)))
+def _depthwise_cases(draw):
+    """``(n, c, h, w, k, stride, padding)`` with a non-square input.
 
-
-class TestDepthwiseDirectEquivalence:
-    """The direct depthwise kernel (channel-major column GEMVs for the
-    forward and weight gradient, shift-accumulate input gradient) matches
-    the reference conv exactly.
-
-    Production dispatch requires stride 1, square kernels of 5+, and enough
-    tap work (``_DW_DIRECT_MIN_ELEMS``).  The property test keeps the real
-    threshold and checks which side of it each shape landed on; the other
-    tests pin it to 0 so unit-sized problems exercise the direct code path.
+    The input is square only at its smallest size, where the output is a
+    single row and column.
     """
+    k = draw(st.sampled_from([3, 5, 7]))
+    padding = draw(st.integers(0, k // 2))
+    low = k - 2 * padding  # one output row
+    h = draw(st.integers(low, low + 9))
+    w = draw(st.integers(low, low + 9).filter(lambda v: v != h or v == low))
+    return (draw(st.integers(1, 3)), draw(st.integers(2, 8)), h, w, k,
+            draw(st.sampled_from([1, 2, 3])), padding)
 
-    # Tap counts (n*c*oH*oW*k²) of the examples straddle the 100,000 threshold.
-    @settings(max_examples=60, deadline=None)
-    @given(case=_direct_cases())
-    @example(case=(3, 7, 10, 19, 5, 2))  # 99,750 taps: im2col
-    @example(case=(2, 8, 10, 25, 5, 0))  # 100,000 taps: direct
-    @example(case=(3, 7, 12, 16, 5, 1))  # 100,800 taps: direct
-    @example(case=(2, 6, 10, 17, 7, 3))  # 99,960 taps: im2col
-    @example(case=(2, 6, 9, 19, 7, 2))   # 100,548 taps: direct
-    def test_property_matches_reference_across_threshold(self, case):
-        n, c, out_h, out_w, k, padding = case
-        h, w = out_h + k - 1 - 2 * padding, out_w + k - 1 - 2 * padding
-        taps = n * c * out_h * out_w * k * k
+
+class TestDepthwiseEquivalence:
+    """Every depthwise ``conv2d`` is one channels-last graph node whose
+    forward, weight gradient and input gradient match the reference conv."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_depthwise_cases())
+    @example(case=(2, 8, 1, 1, 7, 1, 3))   # 1x1 output
+    @example(case=(3, 5, 9, 6, 5, 2, 0))   # last input column never read
+    @example(case=(1, 2, 8, 11, 3, 3, 1))  # stride 3
+    def test_property_matches_reference(self, case):
+        n, c, h, w, k, stride, padding = case
         with pytest.MonkeyPatch.context() as mp:
-            dispatched = _dispatch_spy(mp)
-            _compare(n, c, h, w, c, k, 1, padding, c, seed=taps)
-        direct = taps >= ops_nn._DW_DIRECT_MIN_ELEMS
-        assert dispatched == (["dwconv2d"] if direct else [])
+            _no_im2col_or_pad(mp)
+            _compare(n, c, h, w, c, k, stride, padding, c,
+                     seed=n * 10_000 + c * 1000 + h * 100 + w * 10 + k)
 
-    @pytest.mark.parametrize("k,padding", [
-        (5, 2), (5, 0), (7, 3), (7, 1),
-    ])
-    def test_matches_reference(self, k, padding, monkeypatch):
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        dispatched = _dispatch_spy(monkeypatch)
-        c = 4
-        _compare(2, c, 9, 9, c, k, 1, padding, c, seed=11)
-        assert dispatched == ["dwconv2d"]
-
-    @pytest.mark.parametrize("k,padding", [(5, 1), (7, 3)])
-    def test_gradcheck_through_direct_path(self, k, padding, monkeypatch):
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        dispatched = _dispatch_spy(monkeypatch)
+    @pytest.mark.parametrize("stride,k,padding", [(1, 5, 1), (2, 3, 1)])
+    def test_gradcheck(self, stride, k, padding, monkeypatch):
+        _no_im2col_or_pad(monkeypatch)
         rng = np.random.default_rng(13)
         c = 3
         x = tensor(rng.normal(size=(2, c, 6, 7)), requires_grad=True)
         w = tensor(rng.normal(size=(c, 1, k, k)), requires_grad=True)
         assert gradcheck(
-            lambda a, b: conv2d(a, b, padding=padding, groups=c), (x, w)
+            lambda a, b: conv2d(a, b, stride=stride, padding=padding, groups=c),
+            (x, w),
         )
-        assert dispatched and set(dispatched) == {"dwconv2d"}
-
-    def test_channel_blocks_match_reference(self, monkeypatch):
-        """Past ``_COL_CHUNK_BYTES`` the columns are built per block of
-        channels; here the last of three blocks is partial."""
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES", 1 << 10)
-        dispatched = _dispatch_spy(monkeypatch)
-        n, c, h, w, k = 1, 5, 5, 6, 5
-        column_bytes = n * (h - k + 1) * (w - k + 1) * k * k * 8  # per channel
-        block = (1 << 10) // column_bytes
-        assert block > 1 and c % block
-        _compare(n, c, h, w, c, k, 1, 0, c, seed=15)
-        assert dispatched == ["dwconv2d"]
 
     def test_external_input_skips_input_grad(self, monkeypatch):
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-        dispatched = _dispatch_spy(monkeypatch)
+        _no_im2col_or_pad(monkeypatch)
         rng = np.random.default_rng(12)
         x = tensor(rng.normal(size=(1, 3, 8, 9)))  # graph-external
         w = tensor(rng.normal(size=(3, 1, 5, 5)), requires_grad=True)
         out = conv2d(x, w, stride=1, padding=2, groups=3)
-        assert dispatched == ["dwconv2d"]
+        assert out.op_name == "dwconv2d" and out.parents[0] is x
         grad_x, _ = out.backward_fn(np.ones(out.shape))
         assert grad_x is None
         out.backward(np.ones(out.shape))
@@ -260,22 +233,6 @@ class TestDepthwiseDirectEquivalence:
                                     stride=1, padding=2, groups=3)
         out_ref.backward(np.ones(out_ref.shape))
         np.testing.assert_allclose(w.grad, w_ref.grad, atol=1e-10)
-
-    @pytest.mark.parametrize("stride,k", [(2, 5), (1, 3)])
-    def test_unprofitable_shapes_stay_on_im2col(self, stride, k, monkeypatch):
-        """Strided and 3x3 depthwise convs lose with the tap loop - the
-        dispatch must leave them on the im2col path even with no floor."""
-        monkeypatch.setattr(ops_nn, "_DW_DIRECT_MIN_ELEMS", 0)
-
-        def boom(*a, **kw):  # pragma: no cover - failure path
-            raise AssertionError(f"stride={stride} k={k} must not dispatch")
-
-        monkeypatch.setattr(ops_nn, "_depthwise_direct", boom)
-        rng = np.random.default_rng(14)
-        x = tensor(rng.normal(size=(1, 3, 9, 9)), requires_grad=True)
-        w = tensor(rng.normal(size=(3, 1, k, k)), requires_grad=True)
-        out = conv2d(x, w, stride=stride, padding=k // 2, groups=3)
-        out.backward(np.ones(out.shape))
 
 
 @st.composite

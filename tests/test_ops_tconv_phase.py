@@ -91,15 +91,18 @@ def test_non_square_input():
 def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
     """Float64 gradcheck of conv2d with the input grad forced through the
     phase decomposition (the dispatch threshold would otherwise route these
-    deliberately small shapes to the dilated path)."""
-    monkeypatch.setattr(
-        ops_nn, "_conv_input_grad",
-        lambda grad, w, shape, s, g: ops_nn._conv_input_grad_phased(
-            grad, w, shape, s, g
-        ),
-    )
-    c_in = 4
-    c_out = 4 if groups == 4 else 6 if groups == 2 else 5
+    deliberately small shapes to the dilated path).  The ``groups=4`` cases
+    have two channels per group: a depthwise conv runs its own node and
+    never reaches ``_conv_input_grad``."""
+    phased = []
+
+    def forced(grad, w, shape, s, g):
+        phased.append(s)
+        return ops_nn._conv_input_grad_phased(grad, w, shape, s, g)
+
+    monkeypatch.setattr(ops_nn, "_conv_input_grad", forced)
+    c_in = 8 if groups == 4 else 4
+    c_out = 8 if groups == 4 else 6 if groups == 2 else 5
     h = kernel + 2 * stride + 1
     with default_dtype(np.float64):
         x = tensor(RNG.normal(size=(2, c_in, h, h)), requires_grad=True)
@@ -111,6 +114,7 @@ def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
             lambda a, b: ops_nn.conv2d(a, b, stride=stride, groups=groups),
             (x, w),
         )
+    assert phased and set(phased) == {stride}
 
 
 def test_conv2d_stride2_end_to_end_matches_reference():
