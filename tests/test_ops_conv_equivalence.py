@@ -46,6 +46,7 @@ def _compare(n, c_in, h, w, c_out, k, stride, padding, groups, seed=0):
     np.testing.assert_allclose(out_new.data, out_ref.data, atol=1e-10)
     np.testing.assert_allclose(x_new.grad, x_ref.grad, atol=1e-10)
     np.testing.assert_allclose(w_new.grad, w_ref.grad, atol=1e-10)
+    return out_new
 
 
 # Explicit grid: every conv flavour the supernet and the model zoo emit.
@@ -190,33 +191,48 @@ def _depthwise_cases(draw):
             draw(st.sampled_from([1, 2, 3])), padding)
 
 
-class TestDepthwiseEquivalence:
-    """Every depthwise ``conv2d`` is one channels-last graph node whose
-    forward, weight gradient and input gradient match the reference conv."""
+class TestDepthwiseDirectEquivalence:
+    """Every depthwise ``conv2d`` is one channels-last graph node that
+    convolves directly on a window view of the padded input (no im2col
+    columns, no ``pad2d`` node); its forward, weight gradient and input
+    gradient match the reference conv."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=_depthwise_cases())
     @example(case=(2, 8, 1, 1, 7, 1, 3))   # 1x1 output
     @example(case=(3, 5, 9, 6, 5, 2, 0))   # last input column never read
     @example(case=(1, 2, 8, 11, 3, 3, 1))  # stride 3
-    def test_property_matches_reference(self, case):
+    def test_property_matches_reference_across_strides(self, case):
         n, c, h, w, k, stride, padding = case
         with pytest.MonkeyPatch.context() as mp:
             _no_im2col_or_pad(mp)
             _compare(n, c, h, w, c, k, stride, padding, c,
                      seed=n * 10_000 + c * 1000 + h * 100 + w * 10 + k)
 
-    @pytest.mark.parametrize("stride,k,padding", [(1, 5, 1), (2, 3, 1)])
-    def test_gradcheck(self, stride, k, padding, monkeypatch):
+    @pytest.mark.parametrize("k,padding", [
+        (5, 2), (5, 0), (7, 3), (7, 1),
+    ])
+    def test_matches_reference(self, k, padding, monkeypatch):
+        """Fixed large-kernel cases, each at strides 1-3."""
+        _no_im2col_or_pad(monkeypatch)
+        c = 4
+        for stride in (1, 2, 3):
+            out = _compare(2, c, 9, 9, c, k, stride, padding, c, seed=11)
+            assert out.op_name == "dwconv2d"
+
+    @pytest.mark.parametrize("k,padding", [(5, 1), (7, 3)])
+    def test_gradcheck_through_direct_path(self, k, padding, monkeypatch):
         _no_im2col_or_pad(monkeypatch)
         rng = np.random.default_rng(13)
         c = 3
         x = tensor(rng.normal(size=(2, c, 6, 7)), requires_grad=True)
         w = tensor(rng.normal(size=(c, 1, k, k)), requires_grad=True)
-        assert gradcheck(
-            lambda a, b: conv2d(a, b, stride=stride, padding=padding, groups=c),
-            (x, w),
-        )
+        for stride in (1, 2):
+            assert gradcheck(
+                lambda a, b, s=stride: conv2d(a, b, stride=s, padding=padding,
+                                              groups=c),
+                (x, w),
+            )
 
     def test_external_input_skips_input_grad(self, monkeypatch):
         _no_im2col_or_pad(monkeypatch)
