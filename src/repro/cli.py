@@ -36,9 +36,6 @@ Commands
              trace, ``--metrics-out`` dumps Prometheus-style counters.
 ``trace``    inspect a trace file: ``trace summary`` prints the top ops by
              self-time and per-model queue-wait percentiles.
-``calibrate`` refit device calibration constants from a serving log
-             (``--log``) or, at op granularity, from a per-op profile
-             (``--per-op``, written by ``infer --profile --profile-out``).
 
 ``tables``, ``zoo``, ``explore``, ``search``, ``bench``, ``infer``,
 ``serve`` and ``trace`` accept ``--format json`` for machine-readable
@@ -521,15 +518,10 @@ def _serve_fleet(args: argparse.Namespace, names: list[str],
     for name in names:
         spec = api._runtime_spec(name, args.width, args.input_size,
                                  args.classes)
-        comparison = predicted_vs_measured(
+        comparisons[name] = predicted_vs_measured(
             spec, args.target, stats["models"][name]["latency_ms"]["p50"],
             device=args.device, bits=args.bits,
         )
-        comparisons[name] = comparison
-        if args.calibration_log:
-            from repro.hw.calibration import append_serving_record
-
-            append_serving_record(args.calibration_log, comparison)
     payload = {
         "models": names,
         "workers": args.workers,
@@ -571,32 +563,6 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
         _emit_json(summary)
         return 0
     print(render_trace_summary(summary, top=args.top))
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.hw.calibration import fit_from_profile, fit_from_serving_log
-
-    if bool(args.log) == bool(args.per_op):
-        raise ValueError("pass exactly one of --log (serving log) or "
-                         "--per-op (profile JSON)")
-    if args.per_op:
-        fits = fit_from_profile(args.per_op)
-    else:
-        fits = fit_from_serving_log(args.log)
-    if not fits:
-        print("no usable records (need predicted_ms and measured_ms)",
-              file=sys.stderr)
-        return 1
-    if args.format == "json":
-        _emit_json({"fits": [fit.to_dict() for fit in fits.values()]})
-        return 0
-    print(f"{'target':16s} {'device':16s} {'n':>4s} {'meas/pred':>10s} "
-          f"{'scale':>8s} {'fitted':>8s}")
-    for fit in fits.values():
-        print(f"{fit.target:16s} {fit.device:16s} {fit.records:4d} "
-              f"{fit.ratio_geomean:10.2f} {fit.current_scale:8.3f} "
-              f"{fit.fitted_scale:8.3f}")
     return 0
 
 
@@ -774,8 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(joined against the analytic per-op "
                               "prediction when --target is given)")
     p_infer.add_argument("--profile-out", default=None,
-                         help="also write the per-op profile payload as JSON "
-                              "(consumed by repro calibrate --per-op)")
+                         help="also write the per-op profile payload as JSON")
     p_infer.add_argument("--target", default=None, choices=target_names(),
                          help="hardware target for the per-op analytic "
                               "prediction column (with --profile)")
@@ -816,9 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "comparison")
     p_serve.add_argument("--device", choices=device_names(),
                          help="override the target's default device")
-    p_serve.add_argument("--calibration-log", default=None,
-                         help="append the predicted-vs-measured record to "
-                              "this JSONL file (consumed by repro calibrate)")
     p_serve.add_argument("--trace-out", default=None,
                          help="record request-lifecycle spans and write them "
                               "here on exit (.json: Chrome trace-event "
@@ -845,20 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_tsum)
     p_tsum.set_defaults(fn=_cmd_trace_summary)
 
-    p_calibrate = sub.add_parser(
-        "calibrate",
-        help="refit device calibration_scale constants from measurements",
-    )
-    p_calibrate.add_argument("--log", default=None,
-                             help="JSONL log written by "
-                                  "repro serve --calibration-log")
-    p_calibrate.add_argument("--per-op", default=None, dest="per_op",
-                             help="per-op profile JSON written by repro "
-                                  "infer --profile --profile-out: every op "
-                                  "becomes an independent predicted/measured "
-                                  "calibration record")
-    _add_format(p_calibrate)
-    p_calibrate.set_defaults(fn=_cmd_calibrate)
     return parser
 
 
@@ -872,7 +820,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as err:
         # Registry/facade lookup errors (unknown target/device/model or an
-        # incompatible combination) and bad file paths (--plan/--log) are
+        # incompatible combination) and bad file paths (--plan) are
         # user input errors, not crashes.
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ relies on; absolute deviations are reported in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -58,17 +59,46 @@ def _gpu_layer_us(layer: ResolvedLayer, device: GPUDevice, weight_bits: int) -> 
     return prec * (device.kind_overhead_us[kind] + max(compute_s, memory_s) * 1e6)
 
 
+def gpu_layers_ms(
+    layers: Iterable[ResolvedLayer], device: GPUDevice, weight_bits: int
+) -> float:
+    """Batch-1 latency (milliseconds) of a layer sequence run back to back.
+
+    The one place the per-layer times are summed and calibrated: whole
+    networks (:func:`gpu_latency_ms`, the GPU deployment plan), the
+    search-time table of :class:`~repro.hw.gpu.GPUModel` and the per-op
+    plan predictions all price their layers through it.
+    """
+    total_us = sum(_gpu_layer_us(layer, device, weight_bits) for layer in layers)
+    return total_us / 1e3 * device.calibration_scale
+
+
 def gpu_latency_ms(spec: ArchSpec, device: GPUDevice, weight_bits: int = 32) -> float:
     """Batch-1 inference latency estimate in milliseconds.
 
     ``weight_bits`` is the deployed precision: baselines in Table 1 run at
     32-bit, while the EDD-Nets deploy their co-searched precision (16-bit).
     """
-    total_us = sum(_gpu_layer_us(layer, device, weight_bits) for layer in spec.layers())
-    return total_us / 1e3 * device.calibration_scale
+    return gpu_layers_ms(spec.layers(), device, weight_bits)
 
 
 # ----------------------------------------------------------------- recursive FPGA
+def fpga_recursive_layer_us(
+    layer: ResolvedLayer, device: FPGADevice, weight_bits: int
+) -> float | None:
+    """Compute time (microseconds) of one layer on the shared IPs.
+
+    Returns ``None`` for pool/shuffle layers, which invoke no IP.  Every
+    invoked layer also pays ``device.per_layer_overhead_us`` on top.
+    """
+    if layer.kind in ("pool", "shuffle"):
+        return None
+    eff = device.recursive_efficiency[layer_kind_key(layer.kind, layer.kernel)]
+    macs_per_cycle = device.macs_per_cycle(weight_bits)
+    seconds = layer.macs / (device.dsp_total * macs_per_cycle * eff) / device.clock_hz
+    return seconds * 1e6
+
+
 def fpga_recursive_latency_ms(
     spec: ArchSpec, device: FPGADevice, weight_bits: int = 16
 ) -> float:
@@ -87,15 +117,11 @@ def fpga_recursive_latency_ms(
             f"{spec.name}: channel shuffle is not supported by the recursive "
             f"FPGA flow (CHaiDNN), reported as NA in Table 1"
         )
-    macs_per_cycle = device.macs_per_cycle(weight_bits)
     total_us = 0.0
     for layer in spec.layers():
-        if layer.kind in ("pool", "shuffle"):
-            continue
-        kind = layer_kind_key(layer.kind, layer.kernel)
-        eff = device.recursive_efficiency[kind]
-        seconds = layer.macs / (device.dsp_total * macs_per_cycle * eff) / device.clock_hz
-        total_us += seconds * 1e6 + device.per_layer_overhead_us
+        compute_us = fpga_recursive_layer_us(layer, device, weight_bits)
+        if compute_us is not None:
+            total_us += compute_us + device.per_layer_overhead_us
     return total_us / 1e3 * device.calibration_scale
 
 

@@ -16,15 +16,15 @@ prediction.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
+from repro.hw.analytic import _gpu_layer_us
 from repro.hw.base import HwEvaluation
-from repro.hw.device import GPUDevice, TITAN_RTX
-from repro.hw.gpu import GPUModel, mbconv_gpu_latency_us
+from repro.hw.device import GPUDevice, TITAN_RTX, layer_kind_key
+from repro.hw.gpu import GPUModel, candidate_table
 from repro.hw.perf_loss import latency_sum, multi_objective
+from repro.nas.arch_spec import ResolvedLayer
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
+from repro.nas.space import SearchSpaceConfig
 from repro.nas.supernet import SampledArch
 
 #: Board-power assumptions (W); calibration-free, used for relative energy.
@@ -32,25 +32,27 @@ PEAK_POWER_W = {"Titan RTX": 280.0, "GTX 1080 Ti": 250.0, "P100": 250.0}
 IDLE_POWER_W = {"Titan RTX": 60.0, "GTX 1080 Ti": 55.0, "P100": 50.0}
 
 
-def mbconv_gpu_energy_mj(
-    geom: BlockGeometry, op: CandidateOp, device: GPUDevice, weight_bits: int
+def gpu_layer_energy_mj(
+    layer: ResolvedLayer, device: GPUDevice, weight_bits: int
 ) -> float:
-    """Energy (millijoules) of one MBConv op at batch 1.
+    """Energy (millijoules) of one layer at batch 1.
 
-    ``E = P_idle * t_total + (P_peak - P_idle) * utilisation * t_total``
-    with utilisation approximated by the op's compute efficiency.  Lower
-    precision reduces both time and switched capacitance (folded into the
-    precision factor already applied to the latency).
+    ``E = (P_idle + (P_peak - P_idle) * utilisation) * t`` with ``t`` the
+    layer's calibrated latency and the utilisation approximated by its kind's
+    compute efficiency relative to dense convolution (data-movement layers
+    run near idle).  Lower precision reduces both time and switched
+    capacitance (folded into the precision factor of the latency).
     """
-    latency_us = mbconv_gpu_latency_us(geom, op, device, weight_bits)
+    latency_us = _gpu_layer_us(layer, device, weight_bits) * device.calibration_scale
+    if layer.kind in ("pool", "shuffle"):
+        utilisation = 0.05
+    else:
+        kind = layer_kind_key(layer.kind, layer.kernel)
+        utilisation = min(
+            device.kind_efficiency[kind] / device.kind_efficiency["conv"], 1.0
+        )
     peak = PEAK_POWER_W.get(device.name, 250.0)
     idle = IDLE_POWER_W.get(device.name, 50.0)
-    # Depthwise-heavy ops run at low utilisation: approximate by the mean
-    # kind efficiency normalised to the dense-conv efficiency.
-    mean_eff = (
-        2 * device.kind_efficiency["conv1x1"] + device.kind_efficiency["dwconv"]
-    ) / 3.0
-    utilisation = min(mean_eff / device.kind_efficiency["conv"], 1.0)
     power = idle + (peak - idle) * utilisation
     return power * latency_us * 1e-6 * 1e3  # W * s -> J -> mJ
 
@@ -72,16 +74,14 @@ class GPUEnergyModel(GPUModel):
     ) -> None:
         super().__init__(space, quant, device=device, alpha=alpha)
         self.energy_weight = energy_weight
-        geometries = space.block_geometries()
-        ops = space.candidate_ops()
-        table = np.empty_like(self.latency_table_us)
-        for i, geom in enumerate(geometries):
-            for j, op in enumerate(ops):
-                for k, bits in enumerate(quant.bitwidths):
-                    table[i, j, k] = mbconv_gpu_energy_mj(geom, op, device, bits)
         #: (N, M, Q) per-op energy table in millijoules.
-        self.energy_table_mj = table
-        self._energy_t = Tensor(table)
+        self.energy_table_mj = candidate_table(
+            space, quant,
+            lambda layers, bits: sum(
+                gpu_layer_energy_mj(layer, device, bits) for layer in layers
+            ),
+        )
+        self._energy_t = Tensor(self.energy_table_mj)
 
     def evaluate(self, sample: SampledArch) -> HwEvaluation:
         self.validate_sample(sample)
@@ -106,21 +106,4 @@ class GPUEnergyModel(GPUModel):
 
 def gpu_energy_mj(spec, device: GPUDevice = TITAN_RTX, weight_bits: int = 32) -> float:
     """Analytic whole-network energy estimate (millijoules) for an ArchSpec."""
-    from repro.hw.analytic import _gpu_layer_us
-    from repro.hw.device import layer_kind_key
-
-    peak = PEAK_POWER_W.get(device.name, 250.0)
-    idle = IDLE_POWER_W.get(device.name, 50.0)
-    total_mj = 0.0
-    for layer in spec.layers():
-        latency_us = _gpu_layer_us(layer, device, weight_bits) * device.calibration_scale
-        if layer.kind in ("pool", "shuffle"):
-            utilisation = 0.05
-        else:
-            kind = layer_kind_key(layer.kind, layer.kernel)
-            utilisation = min(
-                device.kind_efficiency[kind] / device.kind_efficiency["conv"], 1.0
-            )
-        power = idle + (peak - idle) * utilisation
-        total_mj += power * latency_us * 1e-6 * 1e3
-    return total_mj
+    return sum(gpu_layer_energy_mj(layer, device, weight_bits) for layer in spec.layers())

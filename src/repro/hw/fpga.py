@@ -32,7 +32,12 @@ from repro.hw.device import FPGADevice, ZCU102
 from repro.hw.perf_loss import latency_sum, throughput_lse
 from repro.hw.resource import shared_resource, summed_resource
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
+from repro.nas.space import (
+    BlockGeometry,
+    CandidateOp,
+    SearchSpaceConfig,
+    candidate_block,
+)
 from repro.nas.supernet import SampledArch
 from repro.nn.module import Parameter
 
@@ -92,7 +97,7 @@ def skip_workload(geom: BlockGeometry) -> float:
     A pure identity costs nothing; where the block must change shape the
     skip is a pointwise projection (conv-1x1 + BN 'otherwise' term).
     """
-    if geom.stride == 1 and geom.in_ch == geom.out_ch:
+    if candidate_block(geom, CandidateOp.skip()) is None:
         return 0.0
     out_px = geom.out_h * geom.out_w
     return float(out_px * geom.in_ch * geom.out_ch + out_px * geom.out_ch)
@@ -111,7 +116,7 @@ def candidate_uses_multipliers(geom: BlockGeometry, op: CandidateOp) -> bool:
     Identity skips are wiring, not hardware: they must not be charged
     ``Res^q = Psi(q) * 2^pf``.
     """
-    return not (op.is_skip and geom.stride == 1 and geom.in_ch == geom.out_ch)
+    return candidate_block(geom, op) is not None
 
 
 class FPGAModel(HardwareModel):

@@ -7,92 +7,46 @@ precision), so ``phi_{i,m,q} = phi_q`` is shared globally.  Resource is fixed
 for a given GPU (RES term drops out of Eq. 1).
 
 Offline we substitute a roofline-style analytic table for the measurements:
-``lat(op) = sum_layers max(compute, memory) + launch overhead``, scaled by
-the per-precision factors derived from the paper's own Table 2 ratios.  Like
-the paper's measurements, the table is a constant with respect to the search
-— only the Gumbel weights over Theta/Phi are differentiable inputs.
+each candidate's layers (:func:`repro.nas.space.candidate_layers`) priced by
+the whole-network estimator's per-layer model
+(:func:`repro.hw.analytic.gpu_layers_ms`: kernel floor + max(compute,
+memory), scaled by the per-precision factors derived from the paper's own
+Table 2 ratios), so the search optimises the latency ``api.estimate``
+reports.  Like the paper's measurements, the table is a constant with
+respect to the search — only the Gumbel weights over Theta/Phi are
+differentiable inputs.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.hw.analytic import gpu_layers_ms
 from repro.hw.base import HardwareModel, HwEvaluation
-from repro.hw.device import GPUDevice, TITAN_RTX, layer_kind_key
+from repro.hw.device import GPUDevice, TITAN_RTX
 from repro.hw.perf_loss import latency_sum
+from repro.nas.arch_spec import ResolvedLayer
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
+from repro.nas.space import SearchSpaceConfig, candidate_layers
 from repro.nas.supernet import SampledArch
 
-def mbconv_gpu_latency_us(
-    geom: BlockGeometry, op: CandidateOp, device: GPUDevice, weight_bits: int
-) -> float:
-    """Latency (microseconds) of one MBConv candidate at batch 1.
 
-    Same model shape as :func:`repro.hw.analytic.gpu_latency_ms`: three conv
-    layers, each ``kernel floor + max(compute, memory)``, the whole op scaled
-    by the device's per-precision factor (the paper's normalised measured
-    latency under ``q``-bit) and calibration scale.  BN/activation are
-    treated as fused into the convolutions.
-    """
-    hidden = geom.in_ch * op.expansion
-    in_px = geom.in_h * geom.in_w
-    out_px = geom.out_h * geom.out_w
-    weight_bytes = weight_bits / 8.0
-    act_bytes = 4.0 if weight_bits >= 32 else 2.0
-
-    layers = (
-        # (kind key, macs, weight params, in acts, out acts)
-        ("conv1x1", in_px * geom.in_ch * hidden, geom.in_ch * hidden,
-         in_px * geom.in_ch, in_px * hidden),
-        ("dwconv", op.kernel**2 * out_px * hidden, op.kernel**2 * hidden,
-         in_px * hidden, out_px * hidden),
-        ("conv1x1", out_px * hidden * geom.out_ch, hidden * geom.out_ch,
-         out_px * hidden, out_px * geom.out_ch),
-    )
-    total_us = 0.0
-    for kind, macs, params, in_act, out_act in layers:
-        eff = device.kind_efficiency[kind]
-        compute_s = macs / (device.peak_macs_per_s * eff)
-        bytes_moved = params * weight_bytes + (in_act + out_act) * act_bytes
-        memory_s = bytes_moved / (device.mem_bandwidth_gbps * 1e9)
-        total_us += device.kind_overhead_us[kind] + max(compute_s, memory_s) * 1e6
-    return total_us * device.precision_factor(weight_bits) * device.calibration_scale
-
-
-def skip_gpu_latency_us(
-    geom: BlockGeometry, device: GPUDevice, weight_bits: int
-) -> float:
-    """Latency of the depth-search skip candidate on GPU.
-
-    An identity skip fuses away entirely (zero cost); a shape-changing skip
-    is one pointwise convolution kernel.
-    """
-    if geom.stride == 1 and geom.in_ch == geom.out_ch:
-        return 0.0
-    out_px = geom.out_h * geom.out_w
-    macs = out_px * geom.in_ch * geom.out_ch
-    params = geom.in_ch * geom.out_ch
-    act_bytes = 4.0 if weight_bits >= 32 else 2.0
-    eff = device.kind_efficiency["conv1x1"]
-    compute_s = macs / (device.peak_macs_per_s * eff)
-    bytes_moved = (
-        params * (weight_bits / 8.0)
-        + (geom.in_h * geom.in_w * geom.in_ch + out_px * geom.out_ch) * act_bytes
-    )
-    memory_s = bytes_moved / (device.mem_bandwidth_gbps * 1e9)
-    total_us = device.kind_overhead_us["conv1x1"] + max(compute_s, memory_s) * 1e6
-    return total_us * device.precision_factor(weight_bits) * device.calibration_scale
-
-
-def candidate_gpu_latency_us(
-    geom: BlockGeometry, op: CandidateOp, device: GPUDevice, weight_bits: int
-) -> float:
-    """Dispatch the per-op latency table over the candidate menu."""
-    if op.is_skip:
-        return skip_gpu_latency_us(geom, device, weight_bits)
-    return mbconv_gpu_latency_us(geom, op, device, weight_bits)
+def candidate_table(
+    space: SearchSpaceConfig,
+    quant: QuantizationConfig,
+    price: Callable[[list[ResolvedLayer], int], float],
+) -> np.ndarray:
+    """(N, M, Q) table of ``price(layers, bits)`` over every block position,
+    candidate op and bit-width, where ``layers`` are the candidate's
+    :func:`~repro.nas.space.candidate_layers`."""
+    return np.array([
+        [[price(candidate_layers(geom, op), bits) for bits in quant.bitwidths]
+         for op in space.candidate_ops()]
+        for geom in space.block_geometries()
+    ])
 
 
 class GPUModel(HardwareModel):
@@ -118,17 +72,12 @@ class GPUModel(HardwareModel):
         self.device = device
         self.alpha = alpha
 
-        geometries = space.block_geometries()
-        ops = space.candidate_ops()
-        n, m, q_levels = space.num_blocks, space.num_ops, quant.num_levels
-        table = np.empty((n, m, q_levels))
-        for i, geom in enumerate(geometries):
-            for j, op in enumerate(ops):
-                for k, bits in enumerate(quant.bitwidths):
-                    table[i, j, k] = candidate_gpu_latency_us(geom, op, device, bits)
+        table_ms = candidate_table(
+            space, quant, lambda layers, bits: gpu_layers_ms(layers, device, bits)
+        )
         #: (N, M, Q) measured-latency substitute table in microseconds.
-        self.latency_table_us = table
-        self._table_t = Tensor(table / 1e3)  # milliseconds for O(1) losses
+        self.latency_table_us = table_ms * 1e3
+        self._table_t = Tensor(table_ms)  # milliseconds for O(1) losses
 
     def evaluate(self, sample: SampledArch) -> HwEvaluation:
         self.validate_sample(sample)

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from repro.hw.analytic import (
     _gpu_layer_us,
+    _pipeline_stages,
     fpga_pipelined_report,
+    fpga_recursive_layer_us,
+    gpu_layers_ms,
 )
-from repro.hw.device import FPGADevice, GPUDevice, layer_kind_key
+from repro.hw.device import FPGADevice, GPUDevice
 from repro.nas.arch_spec import ArchSpec, ResolvedLayer
 
 
@@ -37,7 +40,7 @@ def _shape(layer: ResolvedLayer) -> str:
 def pipelined_plan(spec: ArchSpec, device: FPGADevice, weight_bits: int = 16) -> str:
     """DNNBuilder-style stage map: allocation, time, bottleneck marker."""
     report = fpga_pipelined_report(spec, device, weight_bits)
-    stages = [l for l in spec.layers() if l.macs > 0 and l.kind != "fc"]
+    stages = _pipeline_stages(spec)
     lines = [
         f"Pipelined deployment plan: {spec.name} on {device.name} "
         f"({device.dsp_total} DSPs, {weight_bits}-bit)",
@@ -62,7 +65,6 @@ def pipelined_plan(spec: ArchSpec, device: FPGADevice, weight_bits: int = 16) ->
 
 def recursive_plan(spec: ArchSpec, device: FPGADevice, weight_bits: int = 16) -> str:
     """CHaiDNN-style sequential schedule on shared IPs."""
-    macs_per_cycle = device.macs_per_cycle(weight_bits)
     lines = [
         f"Recursive deployment plan: {spec.name} on {device.name} "
         f"({device.dsp_total} DSPs shared, {weight_bits}-bit)",
@@ -72,14 +74,9 @@ def recursive_plan(spec: ArchSpec, device: FPGADevice, weight_bits: int = 16) ->
     total_us = 0.0
     index = 0
     for layer in spec.layers():
-        if layer.kind in ("pool", "shuffle"):
+        compute_us = fpga_recursive_layer_us(layer, device, weight_bits)
+        if compute_us is None:
             continue
-        kind = layer_kind_key(layer.kind, layer.kernel)
-        eff = device.recursive_efficiency[kind]
-        compute_us = (
-            layer.macs / (device.dsp_total * macs_per_cycle * eff)
-            / device.clock_hz * 1e6
-        )
         total_us += compute_us + device.per_layer_overhead_us
         lines.append(
             f"{index:3d} {_layer_name(layer):10s} {_shape(layer):>28s} "
@@ -100,17 +97,16 @@ def gpu_plan(spec: ArchSpec, device: GPUDevice, weight_bits: int = 32) -> str:
         f"GPU deployment plan: {spec.name} on {device.name} ({weight_bits}-bit)",
         f"{'#':>3s} {'kernel':10s} {'shape':>28s} {'MACs':>9s} {'us':>8s}",
     ]
-    total_us = 0.0
-    for i, layer in enumerate(spec.layers()):
+    layers = spec.layers()
+    for i, layer in enumerate(layers):
         us = _gpu_layer_us(layer, device, weight_bits)
-        total_us += us
         lines.append(
             f"{i:3d} {_layer_name(layer):10s} {_shape(layer):>28s} "
             f"{layer.macs / 1e6:8.2f}M {us:8.1f}"
         )
     lines.append(
-        f"\nbatch-1 latency: {total_us / 1e3 * device.calibration_scale:.2f} ms "
-        f"({len(spec.layers())} kernels)"
+        f"\nbatch-1 latency: {gpu_layers_ms(layers, device, weight_bits):.2f} ms "
+        f"({len(layers)} kernels)"
     )
     return "\n".join(lines)
 
@@ -227,9 +223,11 @@ def per_op_predicted_ms(
     flow's throughput is set by its bottleneck stage, not a sum, so it — and
     targets with no analytic estimator — report ``supported: False``.
 
-    The ``measured_over_predicted`` ratio of each joined row feeds
-    :func:`repro.hw.calibration.fit_calibration_scale` at op granularity via
-    ``repro calibrate --per-op``.
+    Each row prices its layer through the per-layer function of its flow's
+    whole-network estimator (:func:`repro.hw.analytic.gpu_layers_ms`,
+    :func:`repro.hw.analytic.fpga_recursive_layer_us`);
+    :func:`repro.obs.profile_report` joins the rows against measured per-op
+    times.
     """
     from repro.hw import registry
 
@@ -254,29 +252,25 @@ def per_op_predicted_ms(
             if layer is None:
                 continue
             try:
-                us = _gpu_layer_us(layer, dev, effective)
+                per_op[index] = gpu_layers_ms([layer], dev, effective)
             except KeyError:
                 continue
-            per_op[index] = us / 1e3 * dev.calibration_scale
         result["supported"] = True
         return result
     if tspec.plan_flow == "recursive" and isinstance(dev, FPGADevice):
-        macs_per_cycle = dev.macs_per_cycle(effective)
         for index, op in enumerate(plan.ops):
             layer = plan_op_layer(plan, op)
-            if layer is None or layer.kind == "pool":
+            if layer is None:
                 continue
             try:
-                eff = dev.recursive_efficiency[layer_kind_key(layer.kind, layer.kernel)]
+                compute_us = fpga_recursive_layer_us(layer, dev, effective)
             except KeyError:
                 continue
-            seconds = (
-                layer.macs / (dev.dsp_total * macs_per_cycle * eff) / dev.clock_hz
-            )
-            per_op[index] = (
-                (seconds * 1e6 + dev.per_layer_overhead_us)
-                / 1e3 * dev.calibration_scale
-            )
+            if compute_us is not None:
+                per_op[index] = (
+                    (compute_us + dev.per_layer_overhead_us)
+                    / 1e3 * dev.calibration_scale
+                )
         result["supported"] = True
         return result
     if tspec.plan_flow == "pipelined":

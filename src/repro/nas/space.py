@@ -20,6 +20,7 @@ from repro.nas.arch_spec import (
     ConvBlock,
     FCBlock,
     MBConvBlock,
+    ResolvedLayer,
     SepConvBlock,
     StemBlock,
     _out_size,
@@ -70,6 +71,33 @@ class BlockGeometry:
     in_w: int
     out_h: int
     out_w: int
+
+
+def candidate_block(geom: BlockGeometry, op: CandidateOp) -> Block | None:
+    """The block that candidate ``op`` places at a position of geometry ``geom``.
+
+    An MBConv candidate is its :class:`MBConvBlock`.  The skip candidate is
+    ``None`` where the block keeps its shape (a pure identity: the block
+    disappears from the network), otherwise the 1x1 projection that changes
+    channels/resolution.  Derived specs and the device cost tables both read
+    this one description of a candidate.
+    """
+    if op.is_skip:
+        if geom.stride == 1 and geom.in_ch == geom.out_ch:
+            return None
+        return ConvBlock(out_ch=geom.out_ch, kernel=1, stride=geom.stride)
+    return MBConvBlock(
+        expansion=op.expansion, kernel=op.kernel, out_ch=geom.out_ch, stride=geom.stride
+    )
+
+
+def candidate_layers(geom: BlockGeometry, op: CandidateOp) -> list[ResolvedLayer]:
+    """The resolved layers of :func:`candidate_block` (none for an identity skip)."""
+    block = candidate_block(geom, op)
+    if block is None:
+        return []
+    layers, _, _, _ = block.expand(geom.in_ch, geom.in_h, geom.in_w, -1)
+    return layers
 
 
 @dataclass
@@ -189,23 +217,10 @@ class SearchSpaceConfig:
                 f"need {self.num_blocks} choices, got {len(choices)}"
             )
         blocks: list[Block] = list(self.fixed_prefix())
-        in_channels = self.block_input_channels()
-        for i, (op, out_ch, stride) in enumerate(
-            zip(choices, self.block_channels, self.block_strides)
-        ):
-            if op.is_skip:
-                if stride == 1 and in_channels[i] == out_ch:
-                    continue  # pure identity: the block disappears
-                blocks.append(ConvBlock(out_ch=out_ch, kernel=1, stride=stride))
-                continue
-            blocks.append(
-                MBConvBlock(
-                    expansion=op.expansion,
-                    kernel=op.kernel,
-                    out_ch=out_ch,
-                    stride=stride,
-                )
-            )
+        for geom, op in zip(self.block_geometries(), choices):
+            block = candidate_block(geom, op)
+            if block is not None:
+                blocks.append(block)
         blocks.extend(self.fixed_suffix())
         return ArchSpec(
             name=name,

@@ -4,9 +4,7 @@
 op; :func:`profile_report` turns that table into a JSON-serialisable payload
 and — when a hardware target is named — joins each row against the analytic
 per-op estimate (:func:`repro.hw.report.per_op_predicted_ms`).  The joined
-rows are the paper's predicted-vs-implemented gap at *op* granularity, and
-``repro calibrate --per-op`` feeds them straight into
-:func:`repro.hw.calibration.fit_calibration_scale`.
+rows are the paper's predicted-vs-implemented gap at *op* granularity.
 """
 
 from __future__ import annotations

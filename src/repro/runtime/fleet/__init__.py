@@ -4,7 +4,8 @@ Every compiled plan is served here, from a one-model roster upwards: N
 workers over shared read-only baked weights (one memmap per plan),
 continuous batching across concurrent request streams, bounded-queue
 admission control with deadline shedding, per-model routing, and a
-serving-metrics surface (``fleet.stats()``) that feeds ``repro calibrate``.
+serving-metrics surface (``fleet.stats()``) that ``repro serve`` reports
+next to the analytic device-model prediction.
 
 Workers come in two tiers: ``kind="thread"`` (in-process, overlap bounded
 by the GIL) and ``kind="process"`` (child processes cold-started from the

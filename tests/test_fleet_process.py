@@ -9,7 +9,7 @@ Three contracts:
   takes);
 * **tier parity** — for the same inputs, thread and process fleets return
   numerically identical outputs and their ``stats()`` documents share one
-  schema (so dashboards and ``repro calibrate`` need no per-tier code);
+  schema (so dashboards and ``repro serve`` reports need no per-tier code);
 * **liveness surface** — process workers report real pids and respawn
   counts, thread workers the same keys with ``pid: None``.
 """

@@ -5,13 +5,9 @@ import pytest
 
 from repro.baselines.model_zoo import get_model
 from repro.hw.device import TITAN_RTX
-from repro.hw.energy import (
-    GPUEnergyModel,
-    gpu_energy_mj,
-    mbconv_gpu_energy_mj,
-)
+from repro.hw.energy import GPUEnergyModel, gpu_energy_mj, gpu_layer_energy_mj
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp
+from repro.nas.space import BlockGeometry, CandidateOp, candidate_layers
 from repro.nas.supernet import SuperNet, constant_sample
 
 pytestmark = pytest.mark.usefixtures("float64_numerics")
@@ -20,15 +16,22 @@ pytestmark = pytest.mark.usefixtures("float64_numerics")
 GEOM = BlockGeometry(in_ch=16, out_ch=24, stride=2, in_h=16, in_w=16, out_h=8, out_w=8)
 
 
+def op_energy_mj(op, device, bits):
+    """One candidate's entry of the GPU energy table."""
+    return sum(
+        gpu_layer_energy_mj(layer, device, bits) for layer in candidate_layers(GEOM, op)
+    )
+
+
 class TestOpEnergy:
     def test_positive_and_scales_with_latency(self):
-        e32 = mbconv_gpu_energy_mj(GEOM, CandidateOp(3, 4), TITAN_RTX, 32)
-        e16 = mbconv_gpu_energy_mj(GEOM, CandidateOp(3, 4), TITAN_RTX, 16)
+        e32 = op_energy_mj(CandidateOp(3, 4), TITAN_RTX, 32)
+        e16 = op_energy_mj(CandidateOp(3, 4), TITAN_RTX, 16)
         assert e32 > e16 > 0
 
     def test_bigger_ops_cost_more_energy(self):
-        small = mbconv_gpu_energy_mj(GEOM, CandidateOp(3, 4), TITAN_RTX, 32)
-        big = mbconv_gpu_energy_mj(GEOM, CandidateOp(7, 6), TITAN_RTX, 32)
+        small = op_energy_mj(CandidateOp(3, 4), TITAN_RTX, 32)
+        big = op_energy_mj(CandidateOp(7, 6), TITAN_RTX, 32)
         assert big > small
 
 

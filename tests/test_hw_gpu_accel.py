@@ -6,9 +6,10 @@ import pytest
 
 from repro.hw.accel import BitSerialAccelModel
 from repro.hw.device import GTX_1080TI, TITAN_RTX
-from repro.hw.gpu import GPUModel, mbconv_gpu_latency_us
+from repro.hw.analytic import gpu_layers_ms
+from repro.hw.gpu import GPUModel
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp
+from repro.nas.space import BlockGeometry, CandidateOp, candidate_layers
 from repro.nas.supernet import SuperNet, constant_sample
 
 pytestmark = pytest.mark.usefixtures("float64_numerics")
@@ -18,26 +19,31 @@ pytestmark = pytest.mark.usefixtures("float64_numerics")
 GEOM = BlockGeometry(in_ch=16, out_ch=24, stride=2, in_h=16, in_w=16, out_h=8, out_w=8)
 
 
+def op_latency_ms(op, device, bits):
+    """One candidate's entry of the GPU search table."""
+    return gpu_layers_ms(candidate_layers(GEOM, op), device, bits)
+
+
 class TestOpLatencyTable:
     def test_latency_positive(self):
-        assert mbconv_gpu_latency_us(GEOM, CandidateOp(3, 4), TITAN_RTX, 32) > 0
+        assert op_latency_ms(CandidateOp(3, 4), TITAN_RTX, 32) > 0
 
     def test_lower_precision_faster(self):
         op = CandidateOp(5, 4)
-        lat = [mbconv_gpu_latency_us(GEOM, op, TITAN_RTX, b) for b in (32, 16, 8)]
+        lat = [op_latency_ms(op, TITAN_RTX, b) for b in (32, 16, 8)]
         assert lat[0] > lat[1] > lat[2]
 
     def test_1080ti_ratios_match_table2(self):
         """The 1080 Ti precision factors are the paper's measured ratios."""
         op = CandidateOp(3, 4)
-        l32 = mbconv_gpu_latency_us(GEOM, op, GTX_1080TI, 32)
-        l16 = mbconv_gpu_latency_us(GEOM, op, GTX_1080TI, 16)
+        l32 = op_latency_ms(op, GTX_1080TI, 32)
+        l16 = op_latency_ms(op, GTX_1080TI, 16)
         # 2.29/2.83 = 0.809; memory-term differences allow small drift.
         assert 0.75 <= l16 / l32 <= 0.85
 
     def test_bigger_ops_slower(self):
-        small = mbconv_gpu_latency_us(GEOM, CandidateOp(3, 4), TITAN_RTX, 32)
-        big = mbconv_gpu_latency_us(GEOM, CandidateOp(7, 6), TITAN_RTX, 32)
+        small = op_latency_ms(CandidateOp(3, 4), TITAN_RTX, 32)
+        big = op_latency_ms(CandidateOp(7, 6), TITAN_RTX, 32)
         assert big > small
 
 

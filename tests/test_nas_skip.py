@@ -12,11 +12,12 @@ from repro.hw.fpga import (
     candidate_workload,
     skip_workload,
 )
-from repro.hw.gpu import GPUModel, skip_gpu_latency_us
+from repro.hw.analytic import gpu_layers_ms
+from repro.hw.gpu import GPUModel
 from repro.hw.device import TITAN_RTX
 from repro.nas.network import build_network
 from repro.nas.quantization import QuantizationConfig
-from repro.nas.space import BlockGeometry, CandidateOp, SearchSpaceConfig
+from repro.nas.space import BlockGeometry, CandidateOp, candidate_layers
 from repro.nas.supernet import SkipCandidate, SuperNet, constant_sample
 
 
@@ -100,8 +101,11 @@ class TestWorkloads:
         assert candidate_uses_multipliers(IDENTITY_GEOM, CandidateOp(3, 2))
 
     def test_gpu_skip_latency(self):
-        assert skip_gpu_latency_us(IDENTITY_GEOM, TITAN_RTX, 32) == 0.0
-        assert skip_gpu_latency_us(PROJECT_GEOM, TITAN_RTX, 32) > 0.0
+        def skip_ms(geom):
+            return gpu_layers_ms(candidate_layers(geom, CandidateOp.skip()), TITAN_RTX, 32)
+
+        assert skip_ms(IDENTITY_GEOM) == 0.0
+        assert skip_ms(PROJECT_GEOM) > 0.0
 
 
 class TestSupernetWithSkip:

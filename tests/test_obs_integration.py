@@ -4,8 +4,7 @@ What must hold across the layers this PR wires together:
 
 * ``Engine.run(profile=True)`` accumulates a per-op table, and
   :func:`repro.obs.profile_report` joins every op against the analytic
-  per-op prediction for a GPU target — the payload ``repro calibrate
-  --per-op`` refits from;
+  per-op prediction for a GPU target;
 * an enabled global tracer makes the search loop emit per-epoch spans and
   loss/temperature counters;
 * both fleet tiers emit the request lifecycle
@@ -131,38 +130,6 @@ class TestEngineProfile:
         table = render_profile_table(payload)
         assert "predicted" in table
 
-    def test_profile_payload_feeds_per_op_calibration(
-        self, plans, sample, tmp_path
-    ):
-        from repro.hw.calibration import fit_from_profile, records_from_profile
-
-        engine = Engine(plans["a"])
-        engine.run(sample, profile=True)
-        payload = profile_report(engine, target="gpu")
-        records = records_from_profile(payload)
-        joined = [r for r in payload["rows"]
-                  if r["predicted_ms"] and r["mean_ms"]]
-        assert len(records) == len(joined)
-        assert all(r["metric"] == "latency_ms" for r in records)
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(payload))
-        fits = fit_from_profile(path)
-        ((key, fit),) = fits.items()
-        assert key[0] == "gpu"
-        assert fit.records == len(records)
-        assert fit.fitted_scale > 0.0
-
-    def test_profile_without_target_rejected_by_calibration(
-        self, plans, sample
-    ):
-        from repro.hw.calibration import records_from_profile
-
-        engine = Engine(plans["a"])
-        engine.run(sample, profile=True)
-        payload = profile_report(engine)  # no target -> no prediction column
-        with pytest.raises(ValueError, match="target"):
-            records_from_profile(payload)
-
 
 class TestSearchSpans:
     def test_epoch_spans_and_counters(self, enabled_tracer):
@@ -280,14 +247,6 @@ class TestObservabilityCLI:
                                           "--top", "3"])
         assert args.file == "t.json" and args.top == 3
 
-    def test_calibrate_requires_exactly_one_source(self, capsys, tmp_path):
-        assert main(["calibrate"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-        log = tmp_path / "log.jsonl"
-        log.write_text("")
-        assert main(["calibrate", "--log", str(log),
-                     "--per-op", str(log)]) == 2
-
     def test_infer_profile_json_payload(self, capsys, tmp_path):
         out = tmp_path / "profile.json"
         rc = main(["infer", "--model", "EDD-Net-1", *SCALE, "--runs", "2",
@@ -300,8 +259,6 @@ class TestObservabilityCLI:
         assert all(row["predicted_ms"] is not None
                    for row in profile["rows"])
         assert json.loads(out.read_text())["rows"] == profile["rows"]
-        rc = main(["calibrate", "--per-op", str(out)])
-        assert rc == 0
 
     def test_serve_trace_out_then_trace_summary(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"

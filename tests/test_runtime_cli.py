@@ -165,14 +165,3 @@ class TestCompileAndPlanCLI:
         for suite in ("numerics", "training", "search"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["bench", "--suite", suite])
-
-    def test_calibrate_from_serve_log(self, tmp_path, capsys):
-        log = str(tmp_path / "serving.jsonl")
-        assert main(["serve", "--model", "MobileNet-V2", *SCALE, "--once",
-                     "--calibration-log", log, "--format", "json"]) == 0
-        capsys.readouterr()
-        assert main(["calibrate", "--log", log, "--format", "json"]) == 0
-        fits = json.loads(capsys.readouterr().out)["fits"]
-        assert len(fits) == 1
-        assert fits[0]["records"] == 1
-        assert fits[0]["fitted_scale"] > 0

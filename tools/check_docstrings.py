@@ -137,8 +137,7 @@ def collect_missing() -> list[str]:
             missing.extend(_missing_in_class(obj, label))
 
     # Public names outside the __all__ lists: the fleet clock and the
-    # fault-injection helpers, and the serving-log calibration refit.
-    from repro.hw import calibration
+    # fault-injection helpers.
     from repro.resilience import testing as resilience_testing
     from repro.runtime.fleet import clock as fleet_clock
     from repro.runtime.fleet import testing as fleet_testing
@@ -149,11 +148,6 @@ def collect_missing() -> list[str]:
         (resilience_testing, (
             "FaultInjected", "FaultyPayload", "FaultyTask", "attempts_made",
             "slow", "slow_seconds",
-        )),
-        (calibration, (
-            "CalibrationFit", "fit_calibration_scale", "fit_from_serving_log",
-            "append_serving_record", "load_serving_log", "apply_fit",
-            "records_from_profile", "fit_from_profile",
         )),
     )
     for module, names in extra_names:
