@@ -1040,9 +1040,6 @@ def trace_session(chrome: str | Path | None = None,
         with api.trace_session(chrome="trace.json") as tracer:
             with tracer.span("my.block"):
                 engine.run(x)
-
-    Honours the ``REPRO_TRACE=0`` kill switch: tracing stays disabled, the
-    block runs untraced, and no file is written.
     """
     from repro.obs import (
         Tracer,
@@ -1057,9 +1054,8 @@ def trace_session(chrome: str | Path | None = None,
         yield tracer
     finally:
         set_tracer(previous)
-        if tracer.enabled:
-            events = tracer.events()
-            if chrome is not None:
-                write_chrome_trace(events, chrome)
-            if jsonl is not None:
-                write_jsonl_trace(events, jsonl)
+        events = tracer.events()
+        if chrome is not None:
+            write_chrome_trace(events, chrome)
+        if jsonl is not None:
+            write_jsonl_trace(events, jsonl)

@@ -1,17 +1,18 @@
-"""Headless benchmark suites (``repro bench``).
+"""Headless serving benchmark (``repro bench``).
 
-Two suites, each writing a machine-readable report:
+Replays deterministic open-loop traffic (Poisson steady load plus bursts)
+against a :class:`~repro.runtime.fleet.ServingFleet` at increasing worker
+counts, for both worker tiers, and writes ``BENCH_serving.json``: served
+throughput, tail latency per model, admission-control behaviour
+(rejected/shed) and the weight-sharing memory ledger.  Offered load is
+calibrated from the measured single-engine batched throughput so the
+1-worker fleet saturates; scaling headroom then shows as served
+throughput instead of hiding behind an idle fleet.
 
-* ``runtime`` (default) — ``Engine.run`` against the eval-mode
-  ``BuiltNetwork.forward`` across the zoo at batch 1/8/32, with parity and
-  arena footprint per model (``BENCH_runtime.json``);
-* ``serving`` — deterministic open-loop traffic replayed against a
-  :class:`~repro.runtime.fleet.ServingFleet` at increasing worker counts
-  (``BENCH_serving.json``).
-
-Search-step and epoch timing lives in the repository benchmark
-(``perfbench/``), which measures the default training path end to end and
-layer by layer.
+``Engine.run`` against ``BuiltNetwork.forward`` is timed by ``repro infer
+--compare`` (one model, on demand) and by the repository benchmark's
+``infer`` workload (``perfbench/``), which also times search steps and
+epochs end to end and layer by layer.
 """
 
 from __future__ import annotations
@@ -39,144 +40,6 @@ def _median_seconds(fn: Callable[[], Any], repeats: int, warmup: int = 2) -> flo
     return float(np.median(samples))
 
 
-# ----------------------------------------------------- runtime bench suite
-#: Reduced-scale geometry the runtime suite times the zoo at (full 224px
-#: ImageNet shapes are not a single-CPU microbenchmark).
-RUNTIME_BENCH_SCALE = {"width_mult": 0.25, "input_size": 32, "num_classes": 8}
-
-
-def runtime_zoo_names() -> list[str]:
-    """Zoo models the network builder (and thus the runtime) can instantiate."""
-    from repro.baselines.model_zoo import buildable_models
-
-    return buildable_models()
-
-
-def bench_runtime(
-    quick: bool = False, models: list[str] | None = None
-) -> dict[str, Any]:
-    """Engine.run vs ``BuiltNetwork.forward`` across the zoo at batch 1/8/32.
-
-    The baseline is the only pre-runtime way to execute a derived spec: the
-    eval-mode module forward, autograd graph and per-op allocations included.
-    Each record carries both latencies, the speedup, the parity deviation
-    (``max_abs_diff``) and the arena planner's footprint/reuse numbers; the
-    headline is the geometric-mean batch-1 speedup across models.
-    """
-    from repro.autograd.tensor import Tensor
-    from repro.baselines.model_zoo import get_model
-    from repro.nas.arch_spec import scale_spec
-    from repro.nas.network import build_network
-    from repro.runtime import Engine, compile_spec
-
-    batches = (1, 8) if quick else (1, 8, 32)
-    repeats = 3 if quick else 7
-    names = models if models is not None else runtime_zoo_names()
-    rng = np.random.default_rng(7)
-    records = []
-    batch1_speedups = []
-    for name in names:
-        spec = scale_spec(get_model(name), **RUNTIME_BENCH_SCALE)
-        net = build_network(spec, seed=0)
-        # A couple of training-mode forwards give BN non-trivial running
-        # stats, so the folded plan is exercised on realistic parameters.
-        for _ in range(2):
-            net(Tensor(rng.normal(size=(4, 3, spec.input_size, spec.input_size))))
-        net.eval()
-        engine = Engine(compile_spec(net))
-        layout = engine.layout
-        record: dict[str, Any] = {
-            "name": name,
-            "ops": len(engine.plan.ops),
-            "arena_kib": engine.arena_bytes(1) / 1024.0,
-            "arena_reuse": layout.reuse_factor,
-            "arena_fragmentation": layout.fragmentation,
-            "batches": [],
-        }
-        for batch in batches:
-            x = rng.normal(size=(batch, 3, spec.input_size, spec.input_size))
-            xt = Tensor(x)
-            forward_s = _median_seconds(lambda: net(xt), repeats, warmup=1)
-            engine_s = _median_seconds(lambda: engine.run(x), repeats, warmup=1)
-            diff = float(np.max(np.abs(net(xt).data - engine.run(x))))
-            speedup = forward_s / engine_s
-            record["batches"].append({
-                "batch": batch,
-                "forward_ms": forward_s * 1e3,
-                "engine_ms": engine_s * 1e3,
-                "speedup": speedup,
-                "max_abs_diff": diff,
-            })
-            if batch == 1:
-                batch1_speedups.append(speedup)
-        records.append(record)
-    return {
-        "scale": dict(RUNTIME_BENCH_SCALE),
-        "batch_sizes": list(batches),
-        "models": records,
-        "geomean_batch1_speedup": float(
-            np.exp(np.mean(np.log(batch1_speedups)))
-        ) if batch1_speedups else float("nan"),
-    }
-
-
-def run_runtime_benchmarks(
-    quick: bool = False, models: list[str] | None = None
-) -> dict[str, Any]:
-    """Run the runtime suite; returns the ``BENCH_runtime.json`` payload."""
-    return {
-        "meta": {
-            "quick": quick,
-            "suite": "runtime",
-            "dtype_policy": get_default_dtype().name,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "runtime": bench_runtime(quick, models=models),
-    }
-
-
-def render_runtime_report(report: dict[str, Any]) -> str:
-    """Human-readable summary of :func:`run_runtime_benchmarks` output."""
-    section = report["runtime"]
-    scale = section["scale"]
-    lines = [
-        f"runtime bench (dtype={report['meta']['dtype_policy']}, "
-        f"width x{scale['width_mult']}, {scale['input_size']}px, "
-        f"quick={report['meta']['quick']})",
-        "",
-        f"{'model':18s} {'batch':>5s} {'engine':>9s} {'forward':>9s} "
-        f"{'speedup':>8s} {'max diff':>9s}",
-    ]
-    for record in section["models"]:
-        for row in record["batches"]:
-            lines.append(
-                f"{record['name']:18s} {row['batch']:5d} "
-                f"{row['engine_ms']:7.2f}ms {row['forward_ms']:7.2f}ms "
-                f"{row['speedup']:7.1f}x {row['max_abs_diff']:9.1e}"
-            )
-        lines.append(
-            f"{'':18s} arena {record['arena_kib']:.0f} KiB/sample, "
-            f"reuse {record['arena_reuse']:.1f}x"
-        )
-    lines.append(
-        f"\ngeomean batch-1 speedup: "
-        f"{section['geomean_batch1_speedup']:.1f}x"
-    )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------- serving bench suite
-#
-# ``repro bench --suite serving`` -> BENCH_serving.json: replay deterministic
-# open-loop traffic (Poisson steady load + bursts) against a ServingFleet at
-# increasing worker counts, measuring served throughput, tail latency per
-# model, admission-control behaviour (rejected/shed) and the weight-sharing
-# memory ledger.  Offered load is calibrated from the measured single-engine
-# batched throughput so the 1-worker fleet saturates — scaling headroom is
-# then visible as served throughput, not hidden by an idle fleet.
-
 SERVING_BENCH_SCALE = {"width_mult": 0.25, "input_size": 16, "num_classes": 8}
 
 
@@ -192,7 +55,7 @@ def bench_serving(
     whole cores) and reports per-tier scaling plus a process-vs-thread
     comparison at the largest sweep point.
     """
-    from repro.baselines.model_zoo import get_model
+    from repro.baselines.model_zoo import buildable_models, get_model
     from repro.nas.arch_spec import scale_spec
     from repro.runtime import Engine, compile_spec
     from repro.runtime.fleet import (
@@ -203,7 +66,7 @@ def bench_serving(
         replay,
     )
 
-    names = runtime_zoo_names()[:2]
+    names = buildable_models()[:2]
     max_batch = 8
     duration_s = 0.4 if quick else 1.5
     if workers_sweep is None:

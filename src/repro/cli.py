@@ -13,11 +13,9 @@ Commands
              batch several seeds in parallel (one record per seed plus an
              aggregate); ``--checkpoint-dir``/``--resume`` snapshot the
              search every N epochs and restart it bit-identically.
-``bench``    run a benchmark suite headlessly: ``--suite runtime`` (the
-             default) writes ``BENCH_runtime.json`` (``Engine.run`` vs
-             ``BuiltNetwork.forward`` across the zoo); ``--suite serving``
-             writes ``BENCH_serving.json`` (traffic replay against the
-             fleet: throughput and tail latency vs worker count).
+``bench``    replay traffic against the serving fleet at increasing worker
+             counts on both worker tiers and write ``BENCH_serving.json``
+             (throughput and tail latency vs worker count).
 ``compile``  lower a model into a static execution plan and save it to disk
              (``.npz``) for cold-start-free deployment.
 ``infer``    compile a model into the inference runtime and time
@@ -276,19 +274,12 @@ def _run_search(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro import bench
 
-    if args.suite == "serving":
-        report = bench.run_serving_benchmarks(quick=args.quick)
-        rendered = bench.render_serving_report(report)
-        default_output = "BENCH_serving.json"
-    else:
-        report = bench.run_runtime_benchmarks(quick=args.quick)
-        rendered = bench.render_runtime_report(report)
-        default_output = "BENCH_runtime.json"
-    path = bench.write_report(report, args.output or default_output)
+    report = bench.run_serving_benchmarks(quick=args.quick)
+    path = bench.write_report(report, args.output or "BENCH_serving.json")
     if args.format == "json":
         _emit_json(report)
     else:
-        print(rendered)
+        print(bench.render_serving_report(report))
         print(f"\nwrote {path}")
     return 0
 
@@ -674,19 +665,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(fn=_cmd_search)
 
     p_bench = sub.add_parser(
-        "bench", help="run a benchmark suite headlessly"
+        "bench", help="replay traffic against the serving fleet vs worker "
+                      "count on both worker tiers"
     )
     p_bench.add_argument("--quick", action="store_true",
-                         help="fewer repeats and a shorter traffic replay "
-                              "(CI smoke mode)")
-    p_bench.add_argument("--suite", choices=("runtime", "serving"),
-                         default="runtime",
-                         help="runtime: Engine.run vs BuiltNetwork.forward "
-                              "across the zoo; serving: traffic replay "
-                              "against the fleet vs worker count")
+                         help="a shorter traffic replay over fewer worker "
+                              "counts (CI smoke mode)")
     p_bench.add_argument("--output", default=None,
                          help="where to write the JSON report (default "
-                              "BENCH_<suite>.json)")
+                              "BENCH_serving.json)")
     _add_format(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -13,8 +13,7 @@ three execution tiers of the reproduction:
   thread and the process worker tiers, child-process spans shipped over the
   SUBMIT/RESULT pipe protocol and re-anchored to parent time.
 
-The tracer is disabled by default and near-free when disabled; the
-``REPRO_TRACE=0`` environment variable is a global kill switch.  Traces
+The tracer is disabled by default and near-free when disabled.  Traces
 export as Chrome trace-event JSON (``chrome://tracing``-loadable) or JSONL,
 and fleet counters render as Prometheus text.  Entry points:
 :func:`repro.api.trace_session`, ``repro serve --trace-out``, ``repro infer
@@ -38,7 +37,6 @@ from repro.obs.tracer import (
     get_tracer,
     reanchor_spans,
     set_tracer,
-    tracing_allowed,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "set_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_allowed",
     "reanchor_spans",
     "export_events",
     "write_chrome_trace",

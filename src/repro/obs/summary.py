@@ -7,7 +7,7 @@ of its directly nested children within the same ``(pid, tid)`` lane — the
 metric that makes "where does time actually go" answerable when spans nest
 (``request`` > ``request.compute`` > ``engine.run``).
 
-Shared by ``repro trace summary`` and ``tools/trace_summary.py`` (CI).
+Read by ``repro trace summary``.
 """
 
 from __future__ import annotations

@@ -20,9 +20,6 @@ Design constraints, in order:
    :meth:`Tracer.add_span` accepts externally measured ``start``/``duration``
    so fleet code can stamp spans with the fleet clock
    (:mod:`repro.runtime.fleet.clock`), which tests replace with ``FakeClock``.
-
-``REPRO_TRACE=0`` is a global kill switch: tracers constructed while it is
-set are forced disabled, no matter what the code asked for.
 """
 
 from __future__ import annotations
@@ -39,18 +36,12 @@ __all__ = [
     "set_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_allowed",
     "reanchor_spans",
 ]
 
 # Chrome trace-event phase codes used by this tracer.
 PH_SPAN = "X"      # complete event: ts + dur
 PH_COUNTER = "C"   # counter sample
-
-
-def tracing_allowed() -> bool:
-    """True unless the ``REPRO_TRACE=0`` kill switch is set in the environment."""
-    return os.environ.get("REPRO_TRACE", "").strip() != "0"
 
 
 class _NullSpan:
@@ -117,15 +108,14 @@ class Tracer:
     (:func:`repro.obs.sinks.write_chrome_trace` /
     :func:`~repro.obs.sinks.write_jsonl_trace`).
 
-    ``enabled=True`` is still vetoed by the ``REPRO_TRACE=0`` environment
-    kill switch.  Appends rely on the GIL-atomicity of ``list.append`` plus a
-    lock only for multi-event operations, so tracing from fleet worker
-    threads is safe.
+    Appends rely on the GIL-atomicity of ``list.append`` plus a lock only
+    for multi-event operations, so tracing from fleet worker threads is
+    safe.
     """
 
     def __init__(self, enabled: bool = True,
                  clock: Callable[[], float] | None = None) -> None:
-        self.enabled = bool(enabled) and tracing_allowed()
+        self.enabled = bool(enabled)
         self.clock = clock if clock is not None else time.perf_counter
         self.pid = os.getpid()
         self._events: list[dict] = []
@@ -240,11 +230,7 @@ def set_tracer(tracer: Tracer) -> Tracer:
 
 
 def enable_tracing(clock: Callable[[], float] | None = None) -> Tracer:
-    """Install and return a fresh enabled global tracer.
-
-    Still subject to the ``REPRO_TRACE=0`` kill switch: the returned tracer
-    is disabled when the switch is set.
-    """
+    """Install and return a fresh enabled global tracer."""
     tracer = Tracer(enabled=True, clock=clock)
     set_tracer(tracer)
     return tracer

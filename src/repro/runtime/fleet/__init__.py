@@ -17,7 +17,7 @@ shared action vocabulary of :mod:`repro.resilience.testing`.
 
 Entry points: :class:`ServingFleet` directly, :func:`repro.api.serve_fleet`,
 or ``repro serve --model NAME`` (one model) / ``--models a,b --workers N
---worker-kind process``; ``repro bench --suite serving`` replays
+--worker-kind process``; ``repro bench`` replays
 :mod:`~repro.runtime.fleet.traffic` traces against both tiers.
 """
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.baselines.model_zoo import MODEL_ZOO, PAPER_ACCURACY, get_model
+from repro.baselines.model_zoo import (
+    MODEL_ZOO,
+    PAPER_ACCURACY,
+    buildable_models,
+    get_model,
+)
 
 # Published MAC counts (multiply-adds, 224x224 input) used as encoding checks.
 PUBLISHED_MACS = {
@@ -39,6 +44,12 @@ class TestRegistry:
         assert set(PAPER_ACCURACY) == set(MODEL_ZOO)
         for entry in PAPER_ACCURACY.values():
             assert 0 < entry["top5"] < entry["top1"] < 100
+
+    def test_buildable_models_exclude_shuffle(self):
+        names = buildable_models()
+        assert "ShuffleNet-V2" not in names
+        assert "MobileNet-V2" in names
+        assert len(names) == 12
 
 
 class TestMacFidelity:

@@ -217,14 +217,6 @@ class TestTraceSession:
         assert load_trace(str(jsonl)) == chrome_events
         assert any(e["name"] == "engine.run" for e in chrome_events)
 
-    def test_kill_switch_writes_nothing(self, plans, sample, tmp_path,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        chrome = tmp_path / "t.json"
-        with api.trace_session(chrome=str(chrome)):
-            Engine(plans["a"]).run(sample)
-        assert not chrome.exists()
-
 
 SCALE = ["--width", "0.1", "--input-size", "16", "--classes", "4"]
 

@@ -31,7 +31,6 @@ from repro.obs import (
     render_trace_summary,
     set_tracer,
     summarize_trace,
-    tracing_allowed,
     write_chrome_trace,
     write_jsonl_trace,
     write_trace,
@@ -120,15 +119,6 @@ class TestTracer:
         # would be >= 1000 * minimal object size (~28 KiB).
         assert len(tracer) == 0
         assert growth < 4096
-
-    def test_kill_switch_forces_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not tracing_allowed()
-        tracer = Tracer(enabled=True)
-        assert not tracer.enabled
-        with tracer.span("work"):
-            pass
-        assert len(tracer) == 0
 
     def test_extend_and_clear(self):
         tracer = Tracer()
