@@ -221,10 +221,6 @@ class EstimateReport:
     def __iter__(self):
         return iter(self.records)
 
-    def for_model(self, model: str) -> list[EstimateRecord]:
-        """All records of one model (by resolved spec name)."""
-        return [r for r in self.records if r.model == model]
-
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON form: record count plus every record."""
         return {

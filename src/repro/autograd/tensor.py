@@ -87,10 +87,6 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A differentiable numpy array node.
 

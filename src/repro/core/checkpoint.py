@@ -10,7 +10,7 @@ therefore produces the same final :class:`~repro.core.results.SearchResult`
 arrays as the uninterrupted run (``tests/test_core_checkpoint.py`` asserts
 exact equality).
 
-Format: a single ``.npz`` (version 3).  Saves are **durable**: the payload
+Format: a single ``.npz`` (version 4).  Saves are **durable**: the payload
 is written to a temp file in the same directory, fsynced, and atomically
 ``os.replace``d into place, so a ``kill -9`` at any instant leaves either
 the old checkpoint or the new one — never a half-written corpse shadowing
@@ -19,8 +19,10 @@ good state.  Each file embeds a SHA-256 content checksum
 raise a typed :class:`~repro.resilience.errors.CorruptCheckpoint` on
 truncation or bit-rot, and :func:`find_latest_checkpoint` skips corrupt
 files (with a warning) and falls back to the previous good epoch.
-Version-2 files (pre-checksum) still load and resume bit-identically;
-version-1 files (pre-RNG/history) are rejected by :func:`load_checkpoint`.
+Version 4 names supernet weights after the network units the supernet is
+built from (``block0_op0.expand.bn.gamma``, ``classifier.linear.weight``);
+older files still verify, but :func:`load_checkpoint` rejects them, and
+since an old format is not corruption they are never pruned.
 
 Typical use goes through :func:`repro.api.search` (``checkpoint_dir=...`` /
 ``resume=True``) or the CLI's ``repro search --checkpoint-dir ... --resume``;
@@ -72,7 +74,7 @@ EPOCH_RECORD_FIELDS = (
     "theta_perplexity",
 )
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 _CHECKSUM_KEY = "meta::checksum"
 
@@ -227,13 +229,14 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
             (truncated, unreadable, or checksum mismatch).
         KeyError: If the checkpoint names a parameter the searcher lacks.
         ValueError: If a stored array's shape does not match its parameter,
-            or the file predates format 2 (no RNG streams or history).
+            or the file predates format 4 (the unit-named supernet weights).
     """
     version = verify_checkpoint(path)
-    if version < 2:
+    if version < CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint format {version} predates the RNG and "
-            f"history capture of format 2 and can no longer be loaded"
+            f"{path}: checkpoint format {version} predates the unit-named "
+            f"supernet weights of format {CHECKPOINT_FORMAT_VERSION} and can "
+            f"no longer be loaded"
         )
     with np.load(Path(path)) as data:
         named = dict(searcher.supernet.named_parameters())
@@ -249,13 +252,11 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
                     f"{named[name].shape} vs {data[key].shape}"
                 )
             named[name].data = data[key].copy()
-        buffers = {
+        searcher.supernet.load_buffers_dict({
             key[len(_PREFIX_BUFFERS):]: data[key]
             for key in data.files
             if key.startswith(_PREFIX_BUFFERS)
-        }
-        if buffers:
-            searcher.supernet.load_buffers_dict(buffers)
+        })
         impl = searcher.hw_model.implementation_parameters()
         for i, param in enumerate(impl):
             param.data = data[f"{_PREFIX_IMPL}{i}"].copy()

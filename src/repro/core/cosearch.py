@@ -410,9 +410,9 @@ class EDDSearcher:
         """Restore a checkpoint and finish the search from where it stopped.
 
         The searcher must be freshly constructed with the same space, splits
-        and config as the checkpointed run.  With a version-2 checkpoint the
-        remaining epochs replay bit-identically, so the returned result's
-        arrays equal those of an uninterrupted run.
+        and config as the checkpointed run.  The remaining epochs replay
+        bit-identically, so the returned result's arrays equal those of an
+        uninterrupted run.
 
         Args:
             path: Checkpoint file written by

@@ -1,14 +1,26 @@
-"""Build a trainable network from an :class:`ArchSpec`.
+"""Build a trainable network from an :class:`ArchSpec`, one unit per block.
 
-Used to retrain derived architectures from scratch (the paper's final step in
-Sec. 5) and to train scaled-down zoo baselines on the synthetic proxy task.
-Supports the full block vocabulary: stem / MBConv / separable / plain conv /
-max- and avg-pooling / parallel branches (residuals, inception modules) /
-GAP- and flatten-style fully connected heads — so every zoo network can be
+:func:`build_unit` is the one builder of network units in the package.
+:class:`BuiltNetwork` chains one unit per spec block to retrain derived
+architectures (the paper's final step in Sec. 5) and to train scaled-down
+zoo baselines on the synthetic proxy task; :class:`~repro.nas.supernet.SuperNet`
+builds its stem, every candidate and its head from the same units, so a
+derived network is the supernet's argmax path unit for unit.  Supports the
+full block vocabulary: stem / MBConv / separable / plain conv / max- and
+avg-pooling / parallel branches (residuals, inception modules) / GAP- and
+flatten-style fully connected heads — so every zoo network can be
 instantiated, not just the MBConv family.
+
+Every unit's ``forward(x, transform)`` takes a weight transform applied to
+each conv/linear weight before use: ``None`` for float weights,
+:func:`~repro.nas.quantization.fake_quantize` at one bit-width in
+:meth:`BuiltNetwork.forward`, a Gumbel-weighted
+:func:`~repro.nas.quantization.mixed_quantize` in the supernet.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -30,9 +42,16 @@ from repro.nn.layers import BatchNorm2d, Conv2d, Linear
 from repro.nn.module import Module
 from repro.utils.rng import spawn_rngs
 
+#: Maps a weight to the tensor a unit computes with; ``None`` = float weights.
+WeightTransform = Callable[[Tensor], Tensor] | None
+
+
+def _weight(param: Tensor, transform: WeightTransform) -> Tensor:
+    return param if transform is None else transform(param)
+
 
 class _ConvUnit(Module):
-    """conv -> BN -> ReLU6 with optional weight fake-quantisation."""
+    """conv -> BN -> ReLU6 (the activation is optional)."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
                  groups: int, rng: np.random.Generator, act: bool = True) -> None:
@@ -41,10 +60,9 @@ class _ConvUnit(Module):
         self.bn = BatchNorm2d(out_ch)
         self.act = act
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
-        weight = self.conv.weight if not bits else fake_quantize(self.conv.weight, bits)
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
         out = ops_nn.conv2d(
-            x, weight, stride=self.conv.stride,
+            x, _weight(self.conv.weight, transform), stride=self.conv.stride,
             padding=self.conv.padding, groups=self.conv.groups,
         )
         out = self.bn(out)
@@ -60,8 +78,8 @@ class _MBConvUnit(Module):
         self.dw = _ConvUnit(hidden, hidden, block.kernel, block.stride, hidden, rng)
         self.project = _ConvUnit(hidden, block.out_ch, 1, 1, 1, rng, act=False)
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
-        out = self.project(self.dw(self.expand(x, bits), bits), bits)
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
+        out = self.project(self.dw(self.expand(x, transform), transform), transform)
         return out + x if self.use_residual else out
 
 
@@ -71,8 +89,8 @@ class _SepConvUnit(Module):
         self.dw = _ConvUnit(in_ch, in_ch, block.kernel, block.stride, in_ch, rng)
         self.pw = _ConvUnit(in_ch, block.out_ch, 1, 1, 1, rng, act=False)
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
-        return self.pw(self.dw(x, bits), bits)
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
+        return self.pw(self.dw(x, transform), transform)
 
 
 class _PoolUnit(Module):
@@ -84,7 +102,7 @@ class _PoolUnit(Module):
         # 'Same'-style padding so the geometry matches ArchSpec's ceil rule.
         self.padding = block.kernel // 2 if block.kernel != block.stride else 0
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
         if self.mode == "max":
             return ops_nn.max_pool2d(
                 x, self.kernel, stride=self.stride, padding=self.padding
@@ -103,17 +121,17 @@ class _BranchesUnit(Module):
             units: list[Module] = []
             ch = in_ch
             for u_idx, sub in enumerate(branch):
-                unit, ch = _build_unit(ch, sub, rng)
+                unit, ch = build_unit(ch, sub, rng)
                 setattr(self, f"branch{b_idx}_unit{u_idx}", unit)
                 units.append(unit)
             self._branches.append(units)
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
         outputs = []
         for units in self._branches:
             out = x
             for unit in units:
-                out = unit(out, bits)
+                out = unit(out, transform)
             outputs.append(out)
         if self.combine == "add":
             total = outputs[0]
@@ -137,16 +155,23 @@ class _FCUnit(Module):
         self.act = act
         self.linear = Linear(in_features, block.out_features, rng=rng)
 
-    def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
+    def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
         if x.ndim == 4:
             x = flatten_op(x) if self.flatten else ops_nn.global_avg_pool2d(x)
-        weight = self.linear.weight if not bits else fake_quantize(self.linear.weight, bits)
-        out = ops_nn.linear(x, weight, self.linear.bias)
+        out = ops_nn.linear(x, _weight(self.linear.weight, transform), self.linear.bias)
         return ops_nn.relu(out) if self.act else out
 
 
-def _build_unit(in_ch: int, block, rng: np.random.Generator) -> tuple[Module, int]:
-    """Instantiate one block; returns (unit, out_channels)."""
+def build_unit(in_ch: int, block, rng: np.random.Generator,
+               last: bool = False) -> tuple[Module, int]:
+    """Instantiate one block; returns (unit, out_channels).
+
+    Every weight is drawn from ``rng`` in the unit's layer order.  For an
+    :class:`FCBlock`, ``in_ch`` is the input feature count and ``last``
+    marks the network's classifier, which drops the ReLU of inner FC stages.
+    """
+    if isinstance(block, FCBlock):
+        return _FCUnit(in_ch, block, rng, act=not last), block.out_features
     if isinstance(block, (StemBlock, ConvBlock)):
         groups = getattr(block, "groups", 1)
         return _ConvUnit(in_ch, block.out_ch, block.kernel, block.stride, groups, rng), block.out_ch
@@ -183,33 +208,26 @@ class BuiltNetwork(Module):
         ch = spec.input_channels
         # Track FC-chain input features once the spatial part ends.
         fc_features: int | None = None
-        geometry = None
         for i, block in enumerate(spec.blocks):
             rng = rngs[i]
             if isinstance(block, FCBlock):
-                if fc_features is None:
-                    if block.flatten:
-                        if geometry is None:
-                            # Resolve the spatial size feeding this FC.
-                            layers = spec.layers()
-                            fc_layer = next(
-                                l for l in layers
-                                if l.kind == "fc" and l.block_index == i
-                            )
-                            fc_features = fc_layer.in_ch
-                        else:
-                            fc_features = ch * geometry[0] * geometry[1]
-                    else:
-                        fc_features = ch
-                is_last = i == len(spec.blocks) - 1
-                unit: Module = _FCUnit(fc_features, block, rng, act=not is_last)
-                fc_features = block.out_features
+                if fc_features is None and block.flatten:
+                    # Resolve the spatial size feeding this FC.
+                    fc_features = next(
+                        l.in_ch for l in spec.layers()
+                        if l.kind == "fc" and l.block_index == i
+                    )
+                elif fc_features is None:
+                    fc_features = ch
+                unit, fc_features = build_unit(
+                    fc_features, block, rng, last=i == len(spec.blocks) - 1
+                )
             else:
                 if fc_features is not None:
                     raise ValueError(
                         f"spec {spec.name!r}: spatial block after FC blocks"
                     )
-                unit, ch = _build_unit(ch, block, rng)
+                unit, ch = build_unit(ch, block, rng)
             setattr(self, f"unit{i}", unit)
             self._units.append(unit)
         # Keep a handle on the final linear layer (useful for inspection).
@@ -227,8 +245,9 @@ class BuiltNetwork(Module):
     def forward(self, x: Tensor, bits: int | None = None) -> Tensor:
         if bits is None:
             bits = self.spec.weight_bits
+        transform = (lambda w: fake_quantize(w, bits)) if bits else None
         for unit in self._units:
-            x = unit(x, bits)
+            x = unit(x, transform)
         return x
 
 

@@ -1,13 +1,17 @@
 """The single-path supernet (the blue half of the paper's Fig. 1).
 
 Structure: fixed stem (Conv3x3/s2 -> SepConv -> Conv1x1) -> N searchable
-blocks, each holding M :class:`MBConvCandidate` modules -> fixed head
-(Conv1x1 -> GAP -> FC).  A forward pass takes a :class:`SampledArch` — one
-Gumbel-Softmax draw of operation choices (``Theta``) and quantisation choices
-(``Phi``) — and evaluates **only the sampled branch** per block, multiplied
-by the straight-through sample weight so gradients still reach the sampling
-parameters.  This is the Gumbel-sampling memory/speed advantage the paper
-cites over DARTS-style weighted sums (Sec. 3.1).
+blocks, each holding M candidates -> fixed head (Conv1x1 -> GAP -> FC).
+Every part is a :func:`repro.nas.network.build_unit` unit; a candidate is
+the unit of its :func:`repro.nas.space.candidate_block` (an identity skip
+is :class:`~repro.nn.layers.Identity`), so the network derived from the
+Theta argmax is this supernet's argmax path, unit for unit.  A forward pass
+takes a :class:`SampledArch` — one Gumbel-Softmax draw of operation choices
+(``Theta``) and quantisation choices (``Phi``) — and evaluates **only the
+sampled branch** per block, multiplied by the straight-through sample
+weight so gradients still reach the sampling parameters.  This is the
+Gumbel-sampling memory/speed advantage the paper cites over DARTS-style
+weighted sums (Sec. 3.1).
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd import ops_nn
 from repro.autograd.tensor import Tensor
 from repro.nas.gumbel import GumbelSoftmax
+from repro.nas.network import WeightTransform, build_unit
 from repro.nas.quantization import QuantizationConfig, fake_quantize, mixed_quantize
-from repro.nn.layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Linear
+from repro.nn.layers import Identity
 from repro.nn.module import Module, Parameter
-from repro.nas.space import CandidateOp, SearchSpaceConfig
+from repro.nas.space import SearchSpaceConfig, candidate_block
 from repro.utils.numeric import stable_softmax
 from repro.utils.rng import spawn_rngs
 
@@ -100,97 +104,6 @@ def constant_sample(
     )
 
 
-class ConvBNAct(Module):
-    """Conv -> BatchNorm -> ReLU6, the stem/head building unit."""
-
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 rng: np.random.Generator, groups: int = 1, act: bool = True) -> None:
-        super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, stride=stride, groups=groups, rng=rng)
-        self.bn = BatchNorm2d(out_ch)
-        self.act = act
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.bn(self.conv(x))
-        return ops_nn.relu6(out) if self.act else out
-
-
-class SkipCandidate(Module):
-    """Depth-search candidate: identity, or a pointwise projection when the
-    block must change channels/resolution.
-
-    The identity form ignores quantisation (there is nothing to quantise);
-    the projection form quantises its 1x1 weights like any other candidate.
-    """
-
-    def __init__(self, in_ch: int, out_ch: int, stride: int,
-                 quant: QuantizationConfig | None, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.quant = quant
-        self.identity = stride == 1 and in_ch == out_ch
-        self.use_residual = False
-        if not self.identity:
-            self.proj = Conv2d(in_ch, out_ch, 1, stride=stride, rng=rng)
-            self.bn = BatchNorm2d(out_ch)
-
-    def forward(self, x: Tensor, quant_weights: Tensor | None = None) -> Tensor:
-        if self.identity:
-            return x
-        weight = self.proj.weight
-        if quant_weights is not None and self.quant is not None:
-            weight = mixed_quantize(weight, quant_weights, self.quant.bitwidths)
-        out = ops_nn.conv2d(x, weight, stride=self.proj.stride, padding=0)
-        return self.bn(out)
-
-
-class MBConvCandidate(Module):
-    """One candidate operation: expand 1x1 -> depthwise kxk -> project 1x1.
-
-    The forward optionally applies a Gumbel-weighted quantisation mixture to
-    every conv weight (Stage-1 of the implementation formulation); the
-    straight-through estimator keeps the whole path differentiable with
-    respect to both the weights and the Phi sampling parameters.
-    """
-
-    def __init__(self, in_ch: int, out_ch: int, stride: int, op: CandidateOp,
-                 quant: QuantizationConfig | None, rng: np.random.Generator) -> None:
-        super().__init__()
-        hidden = in_ch * op.expansion
-        self.op = op
-        self.stride = stride
-        self.quant = quant
-        self.use_residual = stride == 1 and in_ch == out_ch
-        self.expand = Conv2d(in_ch, hidden, 1, rng=rng)
-        self.bn1 = BatchNorm2d(hidden)
-        self.dw = DepthwiseConv2d(hidden, op.kernel, stride=stride, rng=rng)
-        self.bn2 = BatchNorm2d(hidden)
-        self.project = Conv2d(hidden, out_ch, 1, rng=rng)
-        self.bn3 = BatchNorm2d(out_ch)
-
-    def _weight(self, layer: Conv2d, quant_weights: Tensor | None) -> Tensor:
-        if quant_weights is None or self.quant is None:
-            return layer.weight
-        return mixed_quantize(layer.weight, quant_weights, self.quant.bitwidths)
-
-    def forward(self, x: Tensor, quant_weights: Tensor | None = None) -> Tensor:
-        w1 = self._weight(self.expand, quant_weights)
-        out = ops_nn.conv2d(x, w1, stride=1, padding=0)
-        out = ops_nn.relu6(self.bn1(out))
-        w2 = self._weight(self.dw, quant_weights)
-        out = ops_nn.conv2d(
-            out, w2, stride=self.stride, padding=self.dw.padding, groups=self.dw.groups
-        )
-        out = ops_nn.relu6(self.bn2(out))
-        w3 = self._weight(self.project, quant_weights)
-        out = ops_nn.conv2d(out, w3, stride=1, padding=0)
-        out = self.bn3(out)
-        if self.use_residual:
-            out = out + x
-        if self.quant is not None and self.quant.activation_bits < 32:
-            out = fake_quantize(out, self.quant.activation_bits)
-        return out
-
-
 class SuperNet(Module):
     """Supernet over the fused search space.
 
@@ -214,60 +127,43 @@ class SuperNet(Module):
         rngs = spawn_rngs(seed, space.num_blocks * space.num_ops + 3)
         stem_rng, head_rng, fc_rng = rngs[-3], rngs[-2], rngs[-1]
 
-        # Fixed stem: Conv3x3/s2 -> SepConv3x3 -> Conv1x1 (Fig. 4 left edge).
-        self.stem_conv = ConvBNAct(space.input_channels, space.stem_channels, 3, 2, stem_rng)
-        self.stem_dw = DepthwiseConv2d(space.stem_channels, 3, rng=stem_rng)
-        self.stem_dw_bn = BatchNorm2d(space.stem_channels)
-        # SepConv projection is linear (no activation), MobileNetV2-style —
-        # and matching repro.nas.network's builder so weight inheritance is
-        # forward-exact.
-        self.stem_pw = ConvBNAct(space.stem_channels, space.trunk_channels, 1, 1,
-                                 stem_rng, act=False)
-        self.stem_out = ConvBNAct(space.trunk_channels, space.pre_block_channels, 1, 1, stem_rng)
+        # Fixed stem: Conv3x3/s2 -> SepConv3x3 -> Conv1x1 (Fig. 4 left edge),
+        # every weight drawn from the one stem stream.
+        self._stem: list[Module] = []
+        ch = space.input_channels
+        for j, block in enumerate(space.fixed_prefix()):
+            unit, ch = build_unit(ch, block, stem_rng)
+            setattr(self, f"stem{j}", unit)
+            self._stem.append(unit)
 
         # Searchable blocks: N x M candidates (skip last when depth search on).
-        ops = space.candidate_ops()
+        self._ops = space.candidate_ops()
         self._candidates: list[list[Module]] = []
-        in_channels = space.block_input_channels()
-        for i in range(space.num_blocks):
+        for i, geom in enumerate(space.block_geometries()):
             row: list[Module] = []
-            for m, op in enumerate(ops):
-                candidate: Module
-                if op.is_skip:
-                    candidate = SkipCandidate(
-                        in_ch=in_channels[i],
-                        out_ch=space.block_channels[i],
-                        stride=space.block_strides[i],
-                        quant=quant,
-                        rng=rngs[i * space.num_ops + m],
-                    )
-                else:
-                    candidate = MBConvCandidate(
-                        in_ch=in_channels[i],
-                        out_ch=space.block_channels[i],
-                        stride=space.block_strides[i],
-                        op=op,
-                        quant=quant,
-                        rng=rngs[i * space.num_ops + m],
-                    )
-                setattr(self, f"block{i}_op{m}", candidate)
-                row.append(candidate)
+            for m, op in enumerate(self._ops):
+                block = candidate_block(geom, op)
+                unit = (
+                    Identity() if block is None
+                    else build_unit(geom.in_ch, block, rngs[i * space.num_ops + m])[0]
+                )
+                setattr(self, f"block{i}_op{m}", unit)
+                row.append(unit)
             self._candidates.append(row)
 
         # Fixed head: Conv1x1 -> GAP -> FC.
-        self.head = ConvBNAct(space.block_channels[-1], space.head_channels, 1, 1, head_rng)
-        self.classifier = Linear(space.head_channels, space.num_classes, rng=fc_rng)
+        head_block, fc_block = space.fixed_suffix()
+        self.head, ch = build_unit(space.block_channels[-1], head_block, head_rng)
+        self.classifier, _ = build_unit(ch, fc_block, fc_rng, last=True)
 
         # Architecture sampling parameters (zero logits = uniform start).
         self.theta = Parameter(np.zeros((space.num_blocks, space.num_ops)))
-        q_levels = quant.num_levels if quant is not None else 1
         phi_shape = (
             quant.phi_shape(space.num_blocks, space.num_ops)
             if quant is not None
             else (1,)
         )
         self.phi = Parameter(np.zeros(phi_shape))
-        self._q_levels = q_levels
 
     # -- parameter partition ---------------------------------------------------
     def arch_parameters(self) -> list[Parameter]:
@@ -317,7 +213,38 @@ class SuperNet(Module):
     def candidate(self, block: int, op: int) -> Module:
         return self._candidates[block][op]
 
+    def path_units(self, op_indices: list[int]) -> list[Module]:
+        """The units one op choice per block runs, in execution order.
+
+        Identity skips drop out, as their blocks do from the derived spec,
+        so the list pairs one to one with the units of the network built
+        from ``space.spec_for_choices`` of the same choices.
+        """
+        chosen = [self._candidates[i][m] for i, m in enumerate(op_indices)]
+        blocks = [unit for unit in chosen if not isinstance(unit, Identity)]
+        return [*self._stem, *blocks, self.head, self.classifier]
+
     # -- forward ---------------------------------------------------------------
+    def _weight_transform(self, sample: SampledArch, block: int,
+                          op: int) -> WeightTransform:
+        """``mixed_quantize`` over candidate (block, op)'s Phi slice."""
+        if self.quant is None:
+            return None
+        quant_weights = sample.quant_slice(block, op)
+        return lambda w: mixed_quantize(w, quant_weights, self.quant.bitwidths)
+
+    def _run_candidate(self, block: int, op: int, x: Tensor,
+                       transform: WeightTransform) -> Tensor:
+        """Candidate (block, op) on ``x``.  MBConv outputs are fake-quantised
+        to the activation bit-width; skips, stem and head quantise none."""
+        unit = self._candidates[block][op]
+        if isinstance(unit, Identity):
+            return unit(x)
+        out = unit(x, transform)
+        if self.quant is not None and not self._ops[op].is_skip:
+            out = fake_quantize(out, self.quant.activation_bits)
+        return out
+
     def forward(self, x: Tensor, sample: SampledArch | None = None,
                 sampler: GumbelSoftmax | None = None) -> Tensor:
         """Classify a batch under one sampled architecture.
@@ -330,13 +257,9 @@ class SuperNet(Module):
                 raise ValueError("provide either a SampledArch or a GumbelSoftmax sampler")
             sample = self.sample(sampler)
 
-        out = self.stem_conv(x)
-        out = ops_nn.relu6(self.stem_dw_bn(
-            ops_nn.conv2d(out, self.stem_dw.weight, stride=1,
-                          padding=self.stem_dw.padding, groups=self.stem_dw.groups)
-        ))
-        out = self.stem_pw(out)
-        out = self.stem_out(out)
+        out = x
+        for unit in self._stem:
+            out = unit(out)
 
         for i, row in enumerate(self._candidates):
             if sample.hard:
@@ -344,28 +267,22 @@ class SuperNet(Module):
                 # straight-through gate has forward value 1 but carries the
                 # gradient back to theta[i, m].
                 m = sample.op_indices[i]
-                quant_weights = (
-                    sample.quant_slice(i, m) if self.quant is not None else None
-                )
+                transform = self._weight_transform(sample, i, m)
                 gate = sample.op_weights[i, m]
-                out = row[m](out, quant_weights=quant_weights) * gate
+                out = self._run_candidate(i, m, out, transform) * gate
             else:
                 # Weighted mode: Gumbel-soft mixture over all M candidates in
                 # index order, the differentiable expectation of Eqs. 2-5.
                 mixed: Tensor | None = None
-                for m, candidate in enumerate(row):
-                    quant_weights = (
-                        sample.quant_slice(i, m) if self.quant is not None else None
-                    )
-                    term = candidate(out, quant_weights=quant_weights)
+                for m in range(len(row)):
+                    transform = self._weight_transform(sample, i, m)
+                    term = self._run_candidate(i, m, out, transform)
                     term = term * sample.op_weights[i, m]
                     mixed = term if mixed is None else mixed + term
                 assert mixed is not None
                 out = mixed
 
-        out = self.head(out)
-        out = ops_nn.global_avg_pool2d(out)
-        return self.classifier(out)
+        return self.classifier(self.head(out))
 
     # -- introspection ------------------------------------------------------------
     def theta_probabilities(self) -> np.ndarray:

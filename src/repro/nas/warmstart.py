@@ -5,40 +5,18 @@ practice (and in most NAS releases) warm-starting the child with the
 supernet's trained weights cuts the retraining budget substantially, because
 the selected candidates were exactly the modules trained during the search.
 
-``inherit_weights`` walks the derived spec alongside the supernet: the fixed
-stem/head map one-to-one, each surviving MBConv block copies from the chosen
-candidate at its position (skip blocks copy their projection, identity skips
-vanish), and BatchNorm running statistics come along so eval-mode behaviour
+The supernet and the derived network are built from the same
+:func:`repro.nas.network.build_unit` units, so the child is the supernet's
+argmax path unit for unit (identity skips vanish from both).
+``inherit_weights`` walks the two unit lists side by side and copies each
+unit's parameters and BatchNorm running statistics, so eval-mode behaviour
 matches immediately.  Returns the number of parameter tensors copied.
 """
 
 from __future__ import annotations
 
-from repro.nas.arch_spec import ConvBlock, FCBlock, MBConvBlock, SepConvBlock, StemBlock
-from repro.nas.network import BuiltNetwork, _ConvUnit, _FCUnit, _MBConvUnit, _SepConvUnit
-from repro.nas.supernet import MBConvCandidate, SkipCandidate, SuperNet
-
-
-def _copy_conv_bn(dst: _ConvUnit, src_conv, src_bn) -> int:
-    if dst.conv.weight.shape != src_conv.weight.shape:
-        raise ValueError(
-            f"weight shape mismatch: child {dst.conv.weight.shape} vs "
-            f"supernet {src_conv.weight.shape}"
-        )
-    dst.conv.weight.data = src_conv.weight.data.copy()
-    dst.bn.gamma.data = src_bn.gamma.data.copy()
-    dst.bn.beta.data = src_bn.beta.data.copy()
-    dst.bn.running_mean = src_bn.running_mean.copy()
-    dst.bn.running_var = src_bn.running_var.copy()
-    return 3  # weight + gamma + beta
-
-
-def _copy_mbconv(dst: _MBConvUnit, src: MBConvCandidate) -> int:
-    copied = 0
-    copied += _copy_conv_bn(dst.expand, src.expand, src.bn1)
-    copied += _copy_conv_bn(dst.dw, src.dw, src.bn2)
-    copied += _copy_conv_bn(dst.project, src.project, src.bn3)
-    return copied
+from repro.nas.network import BuiltNetwork
+from repro.nas.supernet import SuperNet
 
 
 def inherit_weights(supernet: SuperNet, built: BuiltNetwork) -> int:
@@ -47,60 +25,21 @@ def inherit_weights(supernet: SuperNet, built: BuiltNetwork) -> int:
     The spec must have been produced by :func:`repro.nas.derive.derive_arch_spec`
     on this supernet (the op choices are re-read from the Theta argmax).
     """
-    space = supernet.space
-    spec = built.spec
-    chosen = supernet.theta.data.argmax(axis=-1)
-    menu = space.candidate_ops()
-
+    path = supernet.path_units(supernet.theta.data.argmax(axis=-1).tolist())
+    if len(path) != len(built.units):
+        raise ValueError(
+            f"unit count mismatch: child has {len(built.units)}, "
+            f"supernet path {len(path)}"
+        )
     copied = 0
-    units = iter(zip(spec.blocks, built._units))
-
-    def next_unit(expected_type):
-        block, unit = next(units)
-        if not isinstance(unit, expected_type):
+    for src, dst in zip(path, built.units):
+        if type(src) is not type(dst):
             raise ValueError(
-                f"unexpected unit {type(unit).__name__} for block "
-                f"{block.describe()}; expected {expected_type.__name__}"
+                f"unit mismatch: child {type(dst).__name__} vs "
+                f"supernet {type(src).__name__}"
             )
-        return block, unit
-
-    # Fixed stem: StemBlock / SepConvBlock / ConvBlock(1x1).
-    _, stem_unit = next_unit(_ConvUnit)
-    copied += _copy_conv_bn(stem_unit, supernet.stem_conv.conv, supernet.stem_conv.bn)
-    _, sep_unit = next_unit(_SepConvUnit)
-    copied += _copy_conv_bn(sep_unit.dw, supernet.stem_dw, supernet.stem_dw_bn)
-    copied += _copy_conv_bn(sep_unit.pw, supernet.stem_pw.conv, supernet.stem_pw.bn)
-    # The builder's SepConv projects straight to trunk channels; the supernet
-    # additionally applies stem_out (1x1).  The spec carries both blocks.
-    _, pre_unit = next_unit(_ConvUnit)
-    copied += _copy_conv_bn(pre_unit, supernet.stem_out.conv, supernet.stem_out.bn)
-
-    # Searchable blocks: walk positions; identity skips have no unit.
-    in_channels = space.block_input_channels()
-    for i in range(space.num_blocks):
-        op = menu[int(chosen[i])]
-        candidate = supernet.candidate(i, int(chosen[i]))
-        if op.is_skip:
-            identity = (
-                space.block_strides[i] == 1
-                and in_channels[i] == space.block_channels[i]
-            )
-            if identity:
-                continue  # block vanished from the spec
-            assert isinstance(candidate, SkipCandidate)
-            _, proj_unit = next_unit(_ConvUnit)
-            copied += _copy_conv_bn(proj_unit, candidate.proj, candidate.bn)
-            continue
-        assert isinstance(candidate, MBConvCandidate)
-        _, mb_unit = next_unit(_MBConvUnit)
-        copied += _copy_mbconv(mb_unit, candidate)
-
-    # Fixed head: Conv1x1 then FC.
-    _, head_unit = next_unit(_ConvUnit)
-    copied += _copy_conv_bn(head_unit, supernet.head.conv, supernet.head.bn)
-    _, fc_unit = next_unit(_FCUnit)
-    fc_unit.linear.weight.data = supernet.classifier.weight.data.copy()
-    if supernet.classifier.bias is not None and fc_unit.linear.bias is not None:
-        fc_unit.linear.bias.data = supernet.classifier.bias.data.copy()
-    copied += 2
+        state = src.state_dict()
+        dst.load_state_dict(state)
+        dst.load_buffers_dict(src.buffers_dict())
+        copied += len(state)
     return copied

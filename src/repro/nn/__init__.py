@@ -1,8 +1,11 @@
 """Neural-network layer library built on :mod:`repro.autograd`.
 
 Provides the Module/Parameter abstraction, the layers MBConv needs (pointwise
-and depthwise convolutions, batch-norm, ReLU6), classification losses and
-SGD/Adam optimisers with learning-rate schedules.
+convolutions, depthwise ones as ``Conv2d(C, C, k, groups=C)``, batch-norm,
+ReLU6), classification losses and SGD/Adam optimisers with learning-rate
+schedules.  Network units are assembled from these layers in one place,
+:func:`repro.nas.network.build_unit`, for the supernet and derived networks
+alike.
 """
 
 from repro.nn.module import Module, Parameter
@@ -11,7 +14,6 @@ from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    DepthwiseConv2d,
     GlobalAvgPool2d,
     Identity,
     Linear,
@@ -28,7 +30,6 @@ __all__ = [
     "BatchNorm2d",
     "Conv2d",
     "CosineSchedule",
-    "DepthwiseConv2d",
     "GlobalAvgPool2d",
     "Identity",
     "Linear",

@@ -18,7 +18,11 @@ from repro.utils.rng import new_rng
 
 
 class Conv2d(Module):
-    """Standard/grouped 2-D convolution (no bias — BN provides the shift)."""
+    """Standard/grouped 2-D convolution (no bias — BN provides the shift).
+
+    ``groups == in_channels == out_channels`` is a depthwise convolution:
+    one filter per channel.
+    """
 
     def __init__(
         self,
@@ -46,28 +50,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops_nn.conv2d(
             x, self.weight, stride=self.stride, padding=self.padding, groups=self.groups
-        )
-
-
-class DepthwiseConv2d(Conv2d):
-    """Depthwise convolution: one filter per channel (groups == channels)."""
-
-    def __init__(
-        self,
-        channels: int,
-        kernel_size: int,
-        stride: int = 1,
-        padding: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(
-            channels,
-            channels,
-            kernel_size,
-            stride=stride,
-            padding=padding,
-            groups=channels,
-            rng=rng,
         )
 
 

@@ -192,11 +192,6 @@ class ServingMetrics:
         with self._lock:
             self._model(model).accepted += 1
 
-    def record_rejected(self, model: str) -> None:
-        """One request rejected by admission control (queue full/closed)."""
-        with self._lock:
-            self._model(model).rejected += 1
-
     def record_unaccepted(self, model: str) -> None:
         """Atomically reclassify one accepted request as rejected.
 

@@ -251,42 +251,35 @@ class TestDurability:
         with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
             verify_checkpoint(path)
 
-    def test_version2_files_still_verify_and_load(self, searcher, tiny_space,
-                                                  tiny_splits, tmp_path):
-        from repro.core.checkpoint import verify_checkpoint
-
-        path = save_checkpoint(searcher, tmp_path / "ck.npz", epoch=2)
-        with np.load(path) as data:
-            payload = {
-                key: data[key].copy()
-                for key in data.files
-                if key != "meta::checksum"
-            }
-        payload["meta::format"] = np.asarray(2)
-        np.savez(path, **payload)
-        assert verify_checkpoint(path) == 2
-        other = fresh_like(searcher, tiny_space, tiny_splits)
-        assert load_checkpoint(other, path) == 2
-        np.testing.assert_array_equal(other.supernet.theta.data,
-                                      searcher.supernet.theta.data)
-
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version1_files_are_rejected_but_never_pruned(self, searcher,
-                                                          tmp_path):
-        from repro.core.checkpoint import prune_corrupt_checkpoints
+                                                          tmp_path, version):
+        from repro.core.checkpoint import (
+            _content_checksum,
+            prune_corrupt_checkpoints,
+            verify_checkpoint,
+        )
 
         path = save_checkpoint(searcher, checkpoint_path(tmp_path, 1), epoch=1)
-        # A v1 file: no checksum, buffers, temperature, RNG streams or history.
-        v2_only = ("meta::checksum", "meta::temperature", "rng::",
-                   "hist::", "buf::")
+        # Format 2 added buffers, temperature, RNG streams and history;
+        # format 3 the checksum; format 4 renamed the supernet weights.
+        dropped = {
+            1: ("meta::checksum", "meta::temperature", "rng::", "hist::", "buf::"),
+            2: ("meta::checksum",),
+            3: ("meta::checksum",),
+        }[version]
         with np.load(path) as data:
             payload = {
                 key: data[key].copy()
                 for key in data.files
-                if not key.startswith(v2_only)
+                if not key.startswith(dropped)
             }
-        payload["meta::format"] = np.asarray(1)
+        payload["meta::format"] = np.asarray(version)
+        if version == 3:
+            payload["meta::checksum"] = _content_checksum(payload)
         np.savez(path, **payload)
-        with pytest.raises(ValueError, match="checkpoint format 1"):
+        assert verify_checkpoint(path) == version
+        with pytest.raises(ValueError, match=f"checkpoint format {version}"):
             load_checkpoint(searcher, path)
         # An old format is not corruption: the file stays for the user.
         assert prune_corrupt_checkpoints(tmp_path) == []

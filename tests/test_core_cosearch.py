@@ -35,7 +35,7 @@ class TestSteps:
 
     def test_arch_step_moves_arch_not_weights(self, searcher, tiny_splits):
         searcher.calibrate_alpha()
-        weight = searcher.supernet.candidate(0, 0).expand.weight
+        weight = searcher.supernet.candidate(0, 0).expand.conv.weight
         weight_before = weight.data.copy()
         theta_before = searcher.supernet.theta.data.copy()
         x, y = tiny_splits.val.images[:8], tiny_splits.val.labels[:8]

@@ -18,7 +18,8 @@ from repro.hw.device import TITAN_RTX
 from repro.nas.network import build_network
 from repro.nas.quantization import QuantizationConfig
 from repro.nas.space import BlockGeometry, CandidateOp, candidate_layers
-from repro.nas.supernet import SkipCandidate, SuperNet, constant_sample
+from repro.nas.supernet import SuperNet, constant_sample
+from repro.nn.layers import Identity
 
 
 @pytest.fixture
@@ -109,15 +110,20 @@ class TestWorkloads:
 
 
 class TestSupernetWithSkip:
-    def test_skip_candidate_forward_identity(self, rng):
-        cand = SkipCandidate(8, 8, 1, None, rng)
-        x = Tensor(rng.normal(size=(2, 8, 4, 4)))
+    def test_skip_candidate_forward_identity(self, skip_space, rng):
+        net = SuperNet(skip_space, None, seed=0)
+        cand = net.candidate(0, skip_space.num_ops - 1)  # block 0 keeps its shape
+        assert isinstance(cand, Identity)
+        x = Tensor(rng.normal(size=(2, 16, 4, 4)))
         assert cand(x) is x
 
-    def test_skip_candidate_projection_shapes(self, rng):
-        cand = SkipCandidate(8, 16, 2, QuantizationConfig.fpga(), rng)
-        x = Tensor(rng.normal(size=(2, 8, 4, 4)))
-        assert cand(x).shape == (2, 16, 2, 2)
+    def test_skip_candidate_projection_shapes(self, skip_space, rng):
+        net = SuperNet(skip_space, QuantizationConfig.fpga(), seed=0)
+        cand = net.candidate(1, skip_space.num_ops - 1)  # 16 -> 32 at stride 2
+        # The ConvBlock the skip derives to: conv1x1 -> BN -> ReLU6.
+        assert cand.conv.kernel_size == 1 and cand.act
+        x = Tensor(rng.normal(size=(2, 16, 4, 4)))
+        assert cand(x).shape == (2, 32, 2, 2)
 
     def test_supernet_forward_both_modes(self, skip_space, sampler, rng):
         quant = QuantizationConfig.fpga(sharing="per_block_op")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor
-from repro.nas.quantization import QuantizationConfig
+from repro.nas.quantization import QuantizationConfig, mixed_quantize
 from repro.nas.space import SearchSpaceConfig
-from repro.nas.supernet import MBConvCandidate, SuperNet, constant_sample
+from repro.nas.supernet import SuperNet, constant_sample
 from repro.nn.functional import cross_entropy
 
 
@@ -48,16 +48,17 @@ class TestConstruction:
         a = SuperNet(tiny_space, fpga_quant_per_block, seed=5)
         b = SuperNet(tiny_space, fpga_quant_per_block, seed=5)
         np.testing.assert_allclose(
-            a.candidate(0, 0).expand.weight.data,
-            b.candidate(0, 0).expand.weight.data,
+            a.candidate(0, 0).expand.conv.weight.data,
+            b.candidate(0, 0).expand.conv.weight.data,
         )
 
     def test_candidates_differ_across_ops(self, net, tiny_space):
         ops = tiny_space.candidate_ops()
+        in_ch = tiny_space.block_input_channels()[0]
         for m, op in enumerate(ops):
             cand = net.candidate(0, m)
-            assert cand.op == op
-            assert cand.dw.kernel_size == op.kernel
+            assert cand.dw.conv.kernel_size == op.kernel
+            assert cand.expand.conv.out_channels == in_ch * op.expansion
 
 
 class TestSampling:
@@ -110,7 +111,7 @@ class TestForward:
         loss = cross_entropy(net(x, sample=sample), y)
         loss.backward()
         m = sample.op_indices[0]
-        assert net.candidate(0, m).expand.weight.grad is not None
+        assert net.candidate(0, m).expand.conv.weight.grad is not None
 
     @pytest.mark.parametrize(
         "quant,allow_skip",
@@ -159,33 +160,34 @@ class TestForward:
 
 
 class TestCandidate:
-    def test_residual_applied_when_shapes_match(self, rng):
-        from repro.nas.space import CandidateOp
+    @pytest.fixture
+    def shapes_space(self, tiny_space):
+        """Blocks that keep their shape, halve resolution, widen at stride 1."""
+        return dataclasses.replace(
+            tiny_space, block_channels=(16, 16, 24), block_strides=(1, 2, 1)
+        )
 
-        cand = MBConvCandidate(8, 8, 1, CandidateOp(3, 2), None, rng)
-        assert cand.use_residual
-        cand_stride = MBConvCandidate(8, 8, 2, CandidateOp(3, 2), None, rng)
-        assert not cand_stride.use_residual
-        cand_channels = MBConvCandidate(8, 16, 1, CandidateOp(3, 2), None, rng)
-        assert not cand_channels.use_residual
+    def test_residual_applied_when_shapes_match(self, shapes_space):
+        net = SuperNet(shapes_space, None, seed=0)
+        assert net.candidate(0, 0).use_residual
+        assert not net.candidate(1, 0).use_residual
+        assert not net.candidate(2, 0).use_residual
 
-    def test_candidate_output_shape(self, rng):
-        from repro.nas.space import CandidateOp
+    def test_candidate_output_shape(self, tiny_space, rng):
+        net = SuperNet(tiny_space, None, seed=0)
+        geom = tiny_space.block_geometries()[1]  # the stride-2 block
+        cand = net.candidate(1, tiny_space.num_ops - 1)  # 5x5, widest expansion
+        out = cand(Tensor(rng.normal(size=(2, geom.in_ch, 8, 8))))
+        assert out.shape == (2, geom.out_ch, 4, 4)
 
-        cand = MBConvCandidate(4, 6, 2, CandidateOp(5, 3), None, rng)
-        out = cand(Tensor(rng.normal(size=(2, 4, 8, 8))))
-        assert out.shape == (2, 6, 4, 4)
-
-    def test_quantized_forward_differs_from_float(self, rng):
-        from repro.nas.space import CandidateOp
-
+    def test_quantized_forward_differs_from_float(self, tiny_space, rng):
         quant = QuantizationConfig.fpga()
-        cand = MBConvCandidate(4, 4, 1, CandidateOp(3, 2), quant, rng)
+        cand = SuperNet(tiny_space, quant, seed=0).candidate(0, 0)
         cand.eval()
-        x = Tensor(rng.normal(size=(1, 4, 6, 6)))
-        float_out = cand(x, quant_weights=None)
+        x = Tensor(rng.normal(size=(1, 16, 6, 6)))
+        float_out = cand(x)
         low_bit = Tensor(np.array([1.0, 0.0, 0.0]))  # 4-bit path
-        quant_out = cand(x, quant_weights=low_bit)
+        quant_out = cand(x, lambda w: mixed_quantize(w, low_bit, quant.bitwidths))
         assert not np.allclose(float_out.data, quant_out.data)
 
 

@@ -13,16 +13,36 @@ from repro.nas.supernet import SuperNet
 from repro.nas.warmstart import inherit_weights
 
 
+def _perturbed_supernet(space):
+    """A supernet with random theta and non-trivial BatchNorm state.
+
+    Every BN ``gamma``/``beta`` and running statistic is drawn from a seeded
+    RNG, so a warm start that skipped any of them could not match.
+    """
+    net = SuperNet(space, quant=None, seed=3)
+    rng = np.random.default_rng(9)
+    net.theta.data = rng.normal(size=net.theta.shape)
+    for name, p in net.named_parameters():
+        if name.endswith(".gamma"):
+            p.data = rng.uniform(0.5, 1.5, size=p.shape)
+        elif name.endswith(".beta"):
+            p.data = rng.normal(scale=0.5, size=p.shape)
+    net.load_buffers_dict({
+        name: (rng.normal(scale=0.5, size=value.shape)
+               if name.endswith("running_mean")
+               else rng.uniform(0.5, 2.0, size=value.shape))
+        for name, value in net.named_buffers()
+    })
+    return net
+
+
 @pytest.fixture
 def trained_supernet(tiny_space):
     """A supernet with non-trivial (randomised) weights and a decided theta."""
-    net = SuperNet(tiny_space, quant=None, seed=3)
-    rng = np.random.default_rng(9)
-    net.theta.data = rng.normal(size=net.theta.shape)
-    # Perturb BN running stats so stat copying is observable.
-    for _, p in net.named_parameters():
-        pass
-    return net
+    return _perturbed_supernet(tiny_space)
+
+
+SKIP = -1  # the skip candidate is last in a depth-search menu
 
 
 class TestInheritance:
@@ -32,26 +52,41 @@ class TestInheritance:
         copied = inherit_weights(trained_supernet, child)
         assert copied > 10
 
-    def test_forward_exact_equivalence(self, trained_supernet, rng):
+    @pytest.mark.parametrize(
+        "space,choices",
+        [
+            (SearchSpaceConfig.tiny(), None),
+            (dataclasses.replace(SearchSpaceConfig.tiny(), allow_skip=True),
+             [SKIP, SKIP]),
+            (dataclasses.replace(SearchSpaceConfig.reduced(num_blocks=4),
+                                 allow_skip=True),
+             [SKIP, 2, SKIP, 0]),
+        ],
+        ids=["tiny-random-theta", "tiny-all-skip", "reduced-mixed-skip"],
+    )
+    def test_forward_exact_equivalence(self, space, choices, rng):
         """In eval mode, the warm-started child computes exactly what the
-        supernet's argmax path computes (quantisation disabled)."""
-        from repro.nas.gumbel import GumbelSoftmax
+        supernet's argmax path computes (quantisation disabled), identity
+        and projection skips included."""
         from repro.nas.supernet import constant_sample
 
-        supernet = trained_supernet
+        supernet = _perturbed_supernet(space)
+        if choices is not None:
+            supernet.theta.data[np.arange(space.num_blocks), choices] = 10.0
         spec = derive_arch_spec(supernet, name="child")
         child = build_network(spec, seed=99)
         inherit_weights(supernet, child)
 
         supernet.eval()
         child.eval()
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        size = space.input_size
+        x = Tensor(rng.normal(size=(2, 3, size, size)))
         chosen = [int(i) for i in supernet.theta.data.argmax(axis=-1)]
-        sample = constant_sample(supernet.space, None, chosen)
+        sample = constant_sample(space, None, chosen)
         with no_grad():
             reference = supernet(x, sample=sample)
             warm = child(x, bits=None)
-        np.testing.assert_allclose(warm.data, reference.data, atol=1e-10)
+        np.testing.assert_array_equal(warm.data, reference.data)
 
     def test_warmstart_beats_cold_start(self, trained_supernet, tiny_splits):
         """After brief supernet training, the inherited child starts with a

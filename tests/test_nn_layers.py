@@ -8,7 +8,6 @@ from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    DepthwiseConv2d,
     GlobalAvgPool2d,
     Identity,
     Linear,
@@ -34,7 +33,7 @@ class TestConv2d:
         assert out.shape == (1, 4, 4, 4)
 
     def test_depthwise_channel_preserving(self, rng):
-        conv = DepthwiseConv2d(6, 3, rng=rng)
+        conv = Conv2d(6, 6, 3, groups=6, rng=rng)
         out = conv(Tensor(rng.normal(size=(1, 6, 5, 5))))
         assert out.shape == (1, 6, 5, 5)
         assert conv.weight.shape == (6, 1, 3, 3)
