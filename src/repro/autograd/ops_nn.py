@@ -8,9 +8,7 @@ matmul** per convolution — no Python loops over kernel offsets or groups.
 Its backward pass is two more matmuls: the weight gradient contracts the
 columns against the output gradient, and the input gradient is the
 transposed convolution — one correlation of the stride-dilated output
-gradient with the flipped kernel (:func:`_conv_input_grad_dilated`) at
-stride 1 and for small problems, and its ``stride²`` dense phases
-(:func:`_conv_input_grad_phased`) otherwise.
+gradient with the flipped kernel (:func:`_conv_input_grad`) at every stride.
 
 Every depthwise convolution (``groups == C_in == C_out > 1``) runs
 channels-last instead, in training (:func:`_depthwise_conv`, one graph node)
@@ -100,43 +98,24 @@ def _im2col(
     return cols, out_h, out_w
 
 
-def _flipped_weight_t(
-    w_data: np.ndarray, groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spatially-flipped, channel-transposed kernel views for input grads.
-
-    Returns the flipped 5-D view ``(G, C_out_g, C_in_g, kH, kW)`` and its
-    contiguous transpose reshaped to ``(G, C_in_g, C_out_g*kH*kW)`` — the
-    left operand of the transposed-convolution GEMM.
-    """
-    c_out, c_in_g, k_h, k_w = w_data.shape
-    c_out_g = c_out // groups
-    flipped = w_data.reshape(groups, c_out_g, c_in_g, k_h, k_w)[:, :, :, ::-1, ::-1]
-    w_t = np.ascontiguousarray(flipped.transpose(0, 2, 1, 3, 4)).reshape(
-        groups, c_in_g, c_out_g * k_h * k_w
-    )
-    return flipped, w_t
-
-
-def _conv_input_grad_dilated(
+def _conv_input_grad(
     grad: np.ndarray,
     w_data: np.ndarray,
     x_shape: tuple[int, ...],
     stride: int,
     groups: int,
 ) -> np.ndarray:
-    """Input gradient as one full correlation of the stride-dilated output
-    gradient with the flipped kernel (im2col + one batched matmul).
+    """Input gradient of a convolution (transposed convolution): one full
+    correlation of the stride-dilated output gradient with the flipped
+    kernel (im2col + one batched matmul), at every stride.
 
-    :func:`_conv_input_grad` runs it for every ``stride == 1`` gradient and
-    for strided ones below :data:`_PHASED_MIN_ELEMS`; the equivalence tests
-    also use it as the oracle of :func:`_conv_input_grad_phased`.  For
-    ``stride > 1`` the dilated canvas is mostly zeros, so the single big
-    GEMM does ``stride²`` more multiplies than the non-zero structure
-    requires.
+    For ``stride > 1`` the dilated canvas is mostly zeros, so the GEMM does
+    ``stride²`` more multiplies than it needs; docs/performance.md
+    ("Strided input gradients") measures why no second kernel pays for that.
     """
     n, c_in, h, w = x_shape
     c_out, c_in_g, k_h, k_w = w_data.shape
+    c_out_g = c_out // groups
     out_h, out_w = grad.shape[2], grad.shape[3]
 
     if k_h == 1 and k_w == 1 and stride == 1:
@@ -154,113 +133,15 @@ def _conv_input_grad_dilated(
             k_w - 1 : k_w - 1 + (out_w - 1) * stride + 1 : stride,
         ] = grad
 
-    _, w_t = _flipped_weight_t(w_data, groups)
+    # The flipped kernel, channel-transposed to (G, C_in_g, C_out_g*kH*kW):
+    # the left operand of the transposed-convolution GEMM.
+    flipped = w_data.reshape(groups, c_out_g, c_in_g, k_h, k_w)[:, :, :, ::-1, ::-1]
+    w_t = np.ascontiguousarray(flipped.transpose(0, 2, 1, 3, 4)).reshape(
+        groups, c_in_g, c_out_g * k_h * k_w
+    )
     cols, gh, gw = _im2col(padded, k_h, k_w, 1, groups)
     assert (gh, gw) == (h, w)
     return np.matmul(w_t[None], cols).reshape(n, c_in, h, w)
-
-
-def _conv_input_grad_phased(
-    grad: np.ndarray,
-    w_data: np.ndarray,
-    x_shape: tuple[int, ...],
-    stride: int,
-    groups: int,
-) -> np.ndarray:
-    """Phase-decomposed transposed-convolution input gradient (stride > 1).
-
-    The stride-dilated full correlation touches a canvas in which only one
-    position in ``stride²`` is non-zero.  Input row ``y`` only ever reads
-    kernel taps ``d`` with ``d ≡ (kH-1-y) (mod s)``, so the correlation
-    splits exactly into ``s²`` *dense* sub-correlations — one per input
-    phase ``(y mod s, x mod s)`` — each contracting the **undilated** output
-    gradient against the sub-kernel ``flipped[d0::s, d0'::s]``.  Total
-    multiply count drops by ``s²`` versus the dilated oracle
-    (:func:`_conv_input_grad_dilated`); results are bit-identical in exact
-    arithmetic and gradcheck-identical in float64 (see
-    ``tests/test_ops_conv_equivalence.py``).
-
-    Phases whose sub-kernel is empty (``stride > kH`` cases) or that index
-    past the input (``h < stride``) stay zero, which also covers the
-    ``(H - kH) % stride != 0`` trailing rows the kernel never reached.
-    """
-    n, c_in, h, w = x_shape
-    c_out, c_in_g, k_h, k_w = w_data.shape
-    c_out_g = c_out // groups
-    out_h, out_w = grad.shape[2], grad.shape[3]
-    grad_x = np.zeros((n, c_in, h, w), dtype=grad.dtype)
-    # Only the flipped *view* is needed here — each phase builds its own
-    # contiguous sub-kernel below, so the full transposed copy the dilated
-    # path uses (_flipped_weight_t's second return) would be wasted work.
-    flipped = w_data.reshape(groups, c_out_g, c_in_g, k_h, k_w)[:, :, :, ::-1, ::-1]
-
-    for ph in range(stride):
-        t_h = len(range(ph, h, stride))
-        d0_h = (k_h - 1 - ph) % stride
-        ks_h = len(range(d0_h, k_h, stride))
-        # Canvas row v maps to output row v + delta (delta <= 0): the
-        # sub-correlation reads grad rows t+delta .. t+delta+ksH-1.
-        delta_h = (ph + d0_h - (k_h - 1)) // stride
-        if t_h == 0 or ks_h == 0:
-            continue
-        for pw in range(stride):
-            t_w = len(range(pw, w, stride))
-            d0_w = (k_w - 1 - pw) % stride
-            ks_w = len(range(d0_w, k_w, stride))
-            delta_w = (pw + d0_w - (k_w - 1)) // stride
-            if t_w == 0 or ks_w == 0:
-                continue
-            canvas_h = t_h + ks_h - 1
-            canvas_w = t_w + ks_w - 1
-            canvas = np.zeros((n, c_out, canvas_h, canvas_w), dtype=grad.dtype)
-            # Copy the grad window the sub-correlation can actually read
-            # (canvas row v holds grad row v + delta); the rest of the
-            # canvas stays zero padding.
-            dst_h_lo, dst_h_hi = -delta_h, min(canvas_h, out_h - delta_h)
-            dst_w_lo, dst_w_hi = -delta_w, min(canvas_w, out_w - delta_w)
-            if dst_h_hi > dst_h_lo and dst_w_hi > dst_w_lo:
-                canvas[:, :, dst_h_lo:dst_h_hi, dst_w_lo:dst_w_hi] = grad[
-                    :, :, : dst_h_hi + delta_h, : dst_w_hi + delta_w
-                ]
-            w_sub = np.ascontiguousarray(
-                flipped[:, :, :, d0_h::stride, d0_w::stride].transpose(0, 2, 1, 3, 4)
-            ).reshape(groups, c_in_g, c_out_g * ks_h * ks_w)
-            cols, gh, gw = _im2col(canvas, ks_h, ks_w, 1, groups)
-            assert (gh, gw) == (t_h, t_w)
-            grad_x[:, :, ph::stride, pw::stride] = np.matmul(
-                w_sub[None], cols
-            ).reshape(n, c_in, t_h, t_w)
-    return grad_x
-
-
-#: Below this many dilated-canvas column elements (``N*C_out*kH*kW*H*W``)
-#: the stride²-redundant single GEMM is still cheaper than the phase
-#: decomposition's s² python-level sub-correlations — dispatch accordingly.
-_PHASED_MIN_ELEMS = 256_000
-
-
-def _conv_input_grad(
-    grad: np.ndarray,
-    w_data: np.ndarray,
-    x_shape: tuple[int, ...],
-    stride: int,
-    groups: int,
-) -> np.ndarray:
-    """Input gradient of a convolution (transposed convolution).
-
-    ``stride == 1`` runs the dense full correlation directly.  ``stride > 1``
-    uses the phase decomposition — the same arithmetic without the
-    ``stride²`` multiply-by-zero overhead of a dilated canvas — unless the
-    problem is so small that the s² python-level sub-correlations cost more
-    than the redundant flops they avoid (:data:`_PHASED_MIN_ELEMS`).
-    """
-    if stride == 1:
-        return _conv_input_grad_dilated(grad, w_data, x_shape, stride, groups)
-    n, _, h, w = x_shape
-    c_out, _, k_h, k_w = w_data.shape
-    if n * c_out * k_h * k_w * h * w < _PHASED_MIN_ELEMS:
-        return _conv_input_grad_dilated(grad, w_data, x_shape, stride, groups)
-    return _conv_input_grad_phased(grad, w_data, x_shape, stride, groups)
 
 
 # Materialized column matrices above this size are processed in batch chunks

@@ -12,7 +12,7 @@ from repro.core.config import EDDConfig
 from repro.core.engine import EngineRun, EpochContext, SearchEngine
 from repro.core.loss import combined_loss
 from repro.core.cosearch import EDDSearcher, build_supernet
-from repro.core.parallel import ParallelEvaluator, evaluate_parallel
+from repro.core.parallel import ParallelEvaluator
 from repro.core.results import (
     EpochRecord,
     MultiSearchResult,
@@ -30,7 +30,6 @@ __all__ = [
     "ParallelEvaluator",
     "SearchCheckpoint",
     "SearchEngine",
-    "evaluate_parallel",
     "find_latest_checkpoint",
     "load_checkpoint",
     "restore_search_state",

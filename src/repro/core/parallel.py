@@ -454,36 +454,6 @@ class ParallelEvaluator:
             executor.shutdown(wait=clean_exit, cancel_futures=not clean_exit)
 
 
-def evaluate_parallel(
-    fn: Callable[[_P], _R],
-    payloads: Sequence[_P],
-    workers: int = 1,
-    kind: str = "process",
-    shared: Any = None,
-    task_timeout: float | None = None,
-    retry: RetryPolicy | None = None,
-) -> list[_R]:
-    """One-shot convenience wrapper around :meth:`ParallelEvaluator.map`.
-
-    Args:
-        fn: Module-level callable applied to each payload.
-        payloads: Self-contained inputs.
-        workers: Worker count (``<= 1`` = serial reference path).
-        kind: ``"process"`` or ``"thread"``.
-        shared: Bulk read-only context for :func:`get_shared`.
-        task_timeout: Optional per-task timeout in seconds (see
-            :class:`ParallelEvaluator`).
-        retry: Optional :class:`repro.resilience.RetryPolicy` for bounded
-            retries with backoff.
-
-    Returns:
-        Results in payload order.
-    """
-    return ParallelEvaluator(
-        workers=workers, kind=kind, task_timeout=task_timeout, retry=retry
-    ).map(fn, payloads, shared=shared)
-
-
 def train_spec_payload(spec: Any, epochs: int, batch_size: int, seed: int) -> tuple:
     """Build the payload :func:`train_spec_worker` expects.
 

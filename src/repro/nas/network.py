@@ -230,8 +230,6 @@ class BuiltNetwork(Module):
                 unit, ch = build_unit(ch, block, rng)
             setattr(self, f"unit{i}", unit)
             self._units.append(unit)
-        # Keep a handle on the final linear layer (useful for inspection).
-        self.classifier = self._units[-1].linear
 
     @property
     def units(self) -> tuple[Module, ...]:

@@ -79,20 +79,24 @@ class TestConv2d:
         expected = correlate2d(x[0, 0], w[0, 0], mode="valid")
         np.testing.assert_allclose(out.data[0, 0], expected)
 
-    def test_dense_gradcheck(self, rng):
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_dense_gradcheck(self, rng, stride):
         x = t(rng.normal(size=(2, 2, 5, 5)))
         w = t(rng.normal(size=(3, 2, 3, 3)))
-        assert gradcheck(lambda a, b: conv2d(a, b, stride=2, padding=1), [x, w])
+        assert gradcheck(lambda a, b: conv2d(a, b, stride=stride, padding=1), [x, w])
 
     def test_depthwise_gradcheck(self, rng):
         x = t(rng.normal(size=(2, 3, 5, 5)))
         w = t(rng.normal(size=(3, 1, 3, 3)))
         assert gradcheck(lambda a, b: conv2d(a, b, padding=1, groups=3), [x, w])
 
-    def test_grouped_gradcheck(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_grouped_gradcheck(self, rng, stride):
         x = t(rng.normal(size=(1, 4, 4, 4)))
         w = t(rng.normal(size=(6, 2, 3, 3)))
-        assert gradcheck(lambda a, b: conv2d(a, b, padding=1, groups=2), [x, w])
+        assert gradcheck(
+            lambda a, b: conv2d(a, b, stride=stride, padding=1, groups=2), [x, w]
+        )
 
     def test_grouped_matches_blockwise_dense(self, rng):
         x = rng.normal(size=(1, 4, 5, 5))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.parallel import (
     ParallelEvaluator,
-    evaluate_parallel,
     get_shared,
     train_spec_worker,
 )
@@ -51,9 +50,6 @@ class TestParallelEvaluator:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             ParallelEvaluator(workers=2, kind="fiber")
-
-    def test_convenience_wrapper(self):
-        assert evaluate_parallel(_square, [2, 3], workers=2, kind="thread") == [4, 9]
 
 
 def _read_shared(_payload):

@@ -92,6 +92,23 @@ class TestBuildNetwork:
         low = built(x, bits=4)
         assert not np.allclose(full.data, low.data)
 
+    def test_classifier_registered_once(self, tiny_space, tiny_splits):
+        """Every parameter is listed once, so one SGD step moves the
+        classifier weight by exactly ``lr * grad``."""
+        spec = derive_arch_spec(SuperNet(tiny_space, QuantizationConfig.fpga(), seed=0))
+        built = build_network(spec, seed=2)
+        params = built.parameters()
+        assert len({id(p) for p in params}) == len(params)
+        assert not any(k.startswith("classifier.") for k in built.state_dict())
+        weight = built.units[-1].linear.weight
+        opt = SGD(params, lr=0.1)
+        opt.zero_grad()
+        x = Tensor(tiny_splits.train.images[:8])
+        cross_entropy(built(x), tiny_splits.train.labels[:8]).backward()
+        expected = weight.data - 0.1 * weight.grad
+        opt.step()
+        np.testing.assert_array_equal(weight.data, expected)
+
     def test_training_reduces_loss(self, tiny_space, tiny_splits):
         net = SuperNet(tiny_space, QuantizationConfig.fpga(), seed=0)
         spec = derive_arch_spec(net)
@@ -145,4 +162,4 @@ class TestBuildNetwork:
             out = net(Tensor(np.random.default_rng(0).normal(size=(2, 3, 32, 32))))
             assert out.shape == (2, 4)
             out.sum().backward()
-            assert net.classifier.weight.grad is not None
+            assert net.units[-1].linear.weight.grad is not None

@@ -125,12 +125,24 @@ class TestInheritance:
         copied = inherit_weights(net, child)
         assert copied > 0  # stem/head always copy
 
-    def test_space_mismatch_raises(self, trained_supernet):
-        other_space = SearchSpaceConfig.reduced(num_blocks=2, num_classes=4,
-                                                input_size=8)
+    @pytest.mark.parametrize(
+        "other_space,copy_theta,match",
+        [
+            # The source's op choices, so the units pair up and the wider
+            # blocks surface as a parameter shape mismatch.
+            (dataclasses.replace(SearchSpaceConfig.tiny(), block_channels=(24, 48)),
+             True, "shape mismatch"),
+            (SearchSpaceConfig.reduced(num_blocks=3, num_classes=4, input_size=8),
+             False, "unit count mismatch"),
+        ],
+        ids=["wider-blocks", "more-blocks"],
+    )
+    def test_space_mismatch_raises(self, trained_supernet, other_space,
+                                   copy_theta, match):
+        """A child derived from another space cannot inherit the weights."""
         other = SuperNet(other_space, quant=None, seed=0)
-        spec = derive_arch_spec(other, name="other")
-        child = build_network(spec, seed=0)
-        # Different trunk width in the reduced space -> shape mismatch.
-        with pytest.raises(ValueError, match="mismatch"):
+        if copy_theta:
+            other.theta.data = trained_supernet.theta.data.copy()
+        child = build_network(derive_arch_spec(other, name="other"), seed=0)
+        with pytest.raises(ValueError, match=match):
             inherit_weights(trained_supernet, child)

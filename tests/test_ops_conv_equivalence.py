@@ -4,8 +4,8 @@ implementation kept verbatim as an independent reference).
 
 Forward values and both backward gradients (input and weight) must match
 across strides, paddings, group counts (dense / grouped / depthwise), odd
-spatial shapes, the batch-chunked large-column path, and the channels-last
-depthwise node.  The runtime's channels-last depthwise kernel
+spatial shapes, both sides of the column-chunk threshold, and the
+channels-last depthwise node.  The runtime's channels-last depthwise kernel
 (``conv2d_into``) must match the oracle's forward with its fused bias,
 residual and activation.
 """
@@ -65,10 +65,8 @@ def test_conv_matches_reference(case, stride):
     _compare(n, c_in, h, w, c_out, k, stride, pad, groups, seed=stride)
 
 
-def test_chunked_path_matches_reference(monkeypatch):
-    """Force the batch-chunked forward and backward (columns above
-    _COL_CHUNK_BYTES): every column matrix is then built per batch chunk."""
-    monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES", 1 << 10)  # 1 KiB
+def _im2col_batches(monkeypatch) -> list[int]:
+    """Record the batch size of every ``_im2col`` call."""
     batches = []
     real = ops_nn._im2col
 
@@ -77,11 +75,55 @@ def test_chunked_path_matches_reference(monkeypatch):
         return real(x, *args)
 
     monkeypatch.setattr(ops_nn, "_im2col", spy)
+    return batches
+
+
+def _col_bytes_per_sample(c_in, h, w, k, pad):
+    """Column bytes one float64 sample of a stride-1 conv materialises."""
+    return c_in * k * k * (h + 2 * pad - k + 1) * (w + 2 * pad - k + 1) * 8
+
+
+def test_chunked_path_matches_reference(monkeypatch):
+    """Force the batch-chunked forward and backward (columns above
+    _COL_CHUNK_BYTES): every column matrix is then built per batch chunk."""
+    monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES", 1 << 10)  # 1 KiB
+    batches = _im2col_batches(monkeypatch)
     _compare(5, 6, 8, 8, 6, 3, 1, 1, groups=2, seed=11)
     assert len(batches) > 1 and max(batches) < 5
     batches.clear()
     _compare(5, 4, 9, 7, 8, 3, 2, 1, groups=1, seed=12)
     assert len(batches) > 1 and max(batches) < 5
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_col_chunk_threshold_both_sides(side, monkeypatch):
+    """A dense 3x3 conv one sample below and one sample above the real
+    _COL_CHUNK_BYTES: one full-batch column matrix below, batch chunks
+    above, and the oracle's forward and both gradients on each side."""
+    below = ops_nn._COL_CHUNK_BYTES // _col_bytes_per_sample(8, 32, 32, 3, 1)
+    n = below if side == "below" else below + 1
+    batches = _im2col_batches(monkeypatch)
+    _compare(n, 8, 32, 32, 8, 3, 1, 1, groups=1, seed=22)
+    if side == "below":
+        # The forward's columns, kept for the weight gradient, then the
+        # input gradient's.
+        assert batches == [n, n]
+    else:
+        assert len(batches) > 2 and max(batches) < n
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_col_chunk_threshold_gradcheck(side, monkeypatch):
+    """Float64 gradcheck on each side of a threshold shrunk to two samples."""
+    monkeypatch.setattr(ops_nn, "_COL_CHUNK_BYTES",
+                        2 * _col_bytes_per_sample(2, 5, 5, 3, 1))
+    n = 2 if side == "below" else 3
+    batches = _im2col_batches(monkeypatch)
+    rng = np.random.default_rng(23)
+    x = tensor(rng.normal(size=(n, 2, 5, 5)), requires_grad=True)
+    w = tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    assert gradcheck(lambda a, b: conv2d(a, b, padding=1), (x, w))
+    assert (set(batches) == {n}) if side == "below" else max(batches) < n
 
 
 def test_input_grad_skipped_for_graph_external_input():
@@ -101,19 +143,26 @@ def test_input_grad_skipped_for_graph_external_input():
     np.testing.assert_allclose(w.grad, w_ref.grad, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 3),
     c_mult=st.integers(1, 3),
-    h=st.integers(5, 11),
-    w=st.integers(5, 11),
-    k=st.sampled_from([1, 3, 5]),
-    stride=st.integers(1, 3),
+    h=st.integers(5, 12),
+    w=st.integers(5, 12),
+    k=st.sampled_from([1, 2, 3, 5]),
+    stride=st.integers(1, 4),
     pad=st.integers(0, 2),
     mode=st.sampled_from(["dense", "depthwise", "grouped"]),
 )
+# (8 - 3) % 2 != 0: the last input row is never read, so its gradient is 0.
+@example(n=2, c_mult=1, h=8, w=8, k=3, stride=2, pad=0, mode="dense")
+# stride > kernel: whole input phases are never read.
+@example(n=2, c_mult=2, h=11, w=8, k=2, stride=4, pad=0, mode="grouped")
+# A residual net's 1x1 stride-2 shortcut; the last row and column are read.
+@example(n=2, c_mult=1, h=9, w=7, k=1, stride=2, pad=0, mode="dense")
 def test_property_conv_equivalence(n, c_mult, h, w, k, stride, pad, mode):
-    """Random shapes: the vectorized kernels agree with the oracle."""
+    """Random shapes: the vectorized kernels, including every strided input
+    gradient, agree with the oracle."""
     if mode == "dense":
         c_in, c_out, groups = 2 * c_mult, 3, 1
     elif mode == "depthwise":

@@ -1,12 +1,15 @@
-"""Phase-decomposed transposed-conv input gradients vs the dilated oracle.
+"""Strided input gradients, input phase by input phase, vs the oracle.
 
-The phased kernel must match :func:`_conv_input_grad_dilated` (the original
-dilate-then-correlate formulation, kept as the oracle) to float64 summation-
-order tolerance (the sub-GEMMs reassociate the additions) across every
-stride/kernel/shape class — including the awkward ones: input
-rows the kernel never reaches (``(H - kH) % stride != 0``), phases with an
-empty sub-kernel (``stride > kH``), grouped and depthwise layouts, and
-non-square inputs.
+The input gradient of a stride-``s`` convolution
+(:func:`ops_nn._conv_input_grad`, one correlation of the stride-dilated
+output gradient with the flipped kernel) splits the input into ``s²``
+phases ``(y mod s, x mod s)``: input row ``y`` only ever reads kernel taps
+``d ≡ (kH-1-y) (mod s)``.  Every case checks the kernel against the input
+gradient of the shift-and-accumulate oracle
+(:func:`ops_nn._reference_conv2d`) across stride/kernel/layout classes,
+including input rows the kernel never reaches (``(H - kH) % stride != 0``)
+and phases no tap reaches (``stride > kH``), whose gradient must be exactly
+zero.
 """
 
 import numpy as np
@@ -27,6 +30,18 @@ def _case(n, c_in, c_out, h, w, k, stride, groups):
     return grad, weight, (n, c_in, h, w)
 
 
+def _checked_input_grad(grad, weight, x_shape, stride, groups):
+    """``_conv_input_grad``'s result, asserted equal to the oracle's."""
+    with default_dtype(np.float64):
+        x = tensor(np.zeros(x_shape), requires_grad=True)
+        ops_nn._reference_conv2d(
+            x, tensor(weight), stride=stride, groups=groups
+        ).backward(grad)
+    got = ops_nn._conv_input_grad(grad, weight, x_shape, stride, groups)
+    np.testing.assert_allclose(got, x.grad, rtol=1e-12, atol=1e-12)
+    return got
+
+
 # (c_in, c_out, groups) layout classes: dense, depthwise, grouped.
 LAYOUTS = [(3, 5, 1), (4, 4, 4), (4, 6, 2)]
 
@@ -39,10 +54,8 @@ def test_phased_matches_oracle(stride, kernel, layout):
     for h in (kernel, kernel + 1, 7, 9, 12):
         if h < kernel or (h - kernel) // stride + 1 < 1:
             continue
-        grad, weight, x_shape = _case(2, c_in, c_out, h, h, kernel, stride, groups)
-        oracle = ops_nn._conv_input_grad_dilated(grad, weight, x_shape, stride, groups)
-        phased = ops_nn._conv_input_grad_phased(grad, weight, x_shape, stride, groups)
-        np.testing.assert_allclose(phased, oracle, rtol=1e-12, atol=1e-12)
+        _checked_input_grad(*_case(2, c_in, c_out, h, h, kernel, stride, groups),
+                            stride, groups)
 
 
 @pytest.mark.parametrize("stride,kernel,h", [
@@ -53,13 +66,11 @@ def test_phased_matches_oracle(stride, kernel, layout):
 ])
 def test_unreached_trailing_rows(stride, kernel, h):
     grad, weight, x_shape = _case(2, 3, 4, h, h, kernel, stride, 1)
-    oracle = ops_nn._conv_input_grad_dilated(grad, weight, x_shape, stride, 1)
-    phased = ops_nn._conv_input_grad_phased(grad, weight, x_shape, stride, 1)
-    np.testing.assert_allclose(phased, oracle, rtol=1e-12, atol=1e-12)
+    grad_x = _checked_input_grad(grad, weight, x_shape, stride, 1)
     # Rows past the last kernel touch must have exactly-zero gradient.
     last_touched = (grad.shape[2] - 1) * stride + kernel
     if last_touched < h:
-        assert np.all(phased[:, :, last_touched:, :] == 0.0)
+        assert np.all(grad_x[:, :, last_touched:, :] == 0.0)
 
 
 @pytest.mark.parametrize("stride,kernel", [(3, 2), (4, 3), (4, 2), (5, 3)])
@@ -67,40 +78,35 @@ def test_empty_phases_stay_zero(stride, kernel):
     """stride > kernel: some input phases are never touched by any tap."""
     h = 2 * stride + kernel
     grad, weight, x_shape = _case(2, 3, 4, h, h, kernel, stride, 1)
-    oracle = ops_nn._conv_input_grad_dilated(grad, weight, x_shape, stride, 1)
-    phased = ops_nn._conv_input_grad_phased(grad, weight, x_shape, stride, 1)
-    np.testing.assert_allclose(phased, oracle, rtol=1e-12, atol=1e-12)
+    grad_x = _checked_input_grad(grad, weight, x_shape, stride, 1)
     # At least one phase has an empty sub-kernel; its rows are zero.
     empty = [p for p in range(stride)
              if len(range((kernel - 1 - p) % stride, kernel, stride)) == 0]
     assert empty, "case selection should produce an empty phase"
     for p in empty:
-        assert np.all(phased[:, :, p::stride, :] == 0.0)
+        assert np.all(grad_x[:, :, p::stride, :] == 0.0)
 
 
 def test_non_square_input():
-    grad, weight, x_shape = _case(3, 4, 6, 11, 8, 3, 2, 2)
-    oracle = ops_nn._conv_input_grad_dilated(grad, weight, x_shape, 2, 2)
-    phased = ops_nn._conv_input_grad_phased(grad, weight, x_shape, 2, 2)
-    np.testing.assert_allclose(phased, oracle, rtol=1e-12, atol=1e-12)
+    _checked_input_grad(*_case(3, 4, 6, 11, 8, 3, 2, 2), 2, 2)
 
 
 @pytest.mark.parametrize("stride,kernel,groups", [
     (2, 3, 1), (2, 5, 1), (3, 3, 1), (2, 3, 4), (2, 5, 4), (3, 2, 2),
 ])
 def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
-    """Float64 gradcheck of conv2d with the input grad forced through the
-    phase decomposition (the dispatch threshold would otherwise route these
-    deliberately small shapes to the dilated path).  The ``groups=4`` cases
-    have two channels per group: a depthwise conv runs its own node and
-    never reaches ``_conv_input_grad``."""
-    phased = []
+    """Float64 gradcheck of a strided conv2d; a spy checks that its input
+    gradient ran ``_conv_input_grad`` at that stride.  The ``groups=4``
+    cases have two channels per group: a depthwise conv runs its own node
+    and never reaches ``_conv_input_grad``."""
+    strides = []
+    real = ops_nn._conv_input_grad
 
-    def forced(grad, w, shape, s, g):
-        phased.append(s)
-        return ops_nn._conv_input_grad_phased(grad, w, shape, s, g)
+    def spy(grad, w, shape, s, g):
+        strides.append(s)
+        return real(grad, w, shape, s, g)
 
-    monkeypatch.setattr(ops_nn, "_conv_input_grad", forced)
+    monkeypatch.setattr(ops_nn, "_conv_input_grad", spy)
     c_in = 8 if groups == 4 else 4
     c_out = 8 if groups == 4 else 6 if groups == 2 else 5
     h = kernel + 2 * stride + 1
@@ -114,7 +120,7 @@ def test_gradcheck_through_phased_path(monkeypatch, stride, kernel, groups):
             lambda a, b: ops_nn.conv2d(a, b, stride=stride, groups=groups),
             (x, w),
         )
-    assert phased and set(phased) == {stride}
+    assert strides and set(strides) == {stride}
 
 
 def test_conv2d_stride2_end_to_end_matches_reference():
