@@ -13,9 +13,6 @@ Commands
              batch several seeds in parallel (one record per seed plus an
              aggregate); ``--checkpoint-dir``/``--resume`` snapshot the
              search every N epochs and restart it bit-identically.
-``bench``    replay traffic against the serving fleet at increasing worker
-             counts on both worker tiers and write ``BENCH_serving.json``
-             (throughput and tail latency vs worker count).
 ``compile``  lower a model into a static execution plan and save it to disk
              (``.npz``) for cold-start-free deployment.
 ``infer``    compile a model into the inference runtime and time
@@ -35,12 +32,12 @@ Commands
 ``trace``    inspect a trace file: ``trace summary`` prints the top ops by
              self-time and per-model queue-wait percentiles.
 
-``tables``, ``zoo``, ``explore``, ``search``, ``bench``, ``infer``,
-``serve`` and ``trace`` accept ``--format json`` for machine-readable
-output (the ``to_dict()`` forms from :mod:`repro.api`).  Target and device
-names come from :mod:`repro.hw.registry`; the CLI holds no hardware
-dispatch of its own.  The global ``--log-level`` flag (or the
-``REPRO_LOG_LEVEL`` environment variable) sets the ``repro`` logger level.
+``tables``, ``zoo``, ``explore``, ``search``, ``infer``, ``serve`` and
+``trace`` accept ``--format json`` for machine-readable output (the
+``to_dict()`` forms from :mod:`repro.api`).  Target and device names come
+from :mod:`repro.hw.registry`; the CLI holds no hardware dispatch of its
+own.  The global ``--log-level`` flag (or the ``REPRO_LOG_LEVEL``
+environment variable) sets the ``repro`` logger level.
 """
 
 from __future__ import annotations
@@ -268,19 +265,6 @@ def _run_search(args: argparse.Namespace) -> int:
           f"theta perplexity {report.final_theta_perplexity:.2f})")
     if report.retrain is not None:
         print(f"retrained top-1 error: {report.retrain.top1_error:.1f}%")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    report = bench.run_serving_benchmarks(quick=args.quick)
-    path = bench.write_report(report, args.output or "BENCH_serving.json")
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        print(bench.render_serving_report(report))
-        print(f"\nwrote {path}")
     return 0
 
 
@@ -663,19 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "budget")
     _add_format(p_search)
     p_search.set_defaults(fn=_cmd_search)
-
-    p_bench = sub.add_parser(
-        "bench", help="replay traffic against the serving fleet vs worker "
-                      "count on both worker tiers"
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="a shorter traffic replay over fewer worker "
-                              "counts (CI smoke mode)")
-    p_bench.add_argument("--output", default=None,
-                         help="where to write the JSON report (default "
-                              "BENCH_serving.json)")
-    _add_format(p_bench)
-    p_bench.set_defaults(fn=_cmd_bench)
 
     from repro.baselines.model_zoo import buildable_models
 

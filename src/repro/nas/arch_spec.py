@@ -190,13 +190,30 @@ class SepConvBlock(Block):
 
 @dataclass(frozen=True)
 class PoolBlock(Block):
-    """Max/avg pooling; compute-free but halves resolution."""
+    """Max/avg pooling; compute-free but changes resolution.
+
+    Like every block it maps a size to ``ceil(size / stride)``, which the
+    built unit (:class:`repro.nas.network._PoolUnit`) computes in two cases
+    only: a max pool with an odd kernel other than its stride (padded by
+    ``kernel // 2``), and windows that tile the map (``kernel == stride``,
+    the stride dividing both sides).  ``expand`` raises ``ValueError`` for
+    every other geometry, so estimates and built networks refuse the same
+    specs.
+    """
 
     kernel: int = 2
     stride: int = 2
     mode: str = "max"
 
     def expand(self, in_ch, h, w, index):
+        padded = self.mode == "max" and self.kernel % 2 == 1 and self.kernel != self.stride
+        tiles = self.kernel == self.stride and h % self.stride == 0 and w % self.stride == 0
+        if not (padded or tiles):
+            raise ValueError(
+                f"{self.describe()} cannot map a {h}x{w} input to "
+                f"ceil(size / stride): only an odd-kernel max pool or a "
+                f"kernel == stride pool whose stride divides the map can"
+            )
         oh, ow = _out_size(h, self.stride), _out_size(w, self.stride)
         layer = ResolvedLayer("pool", self.kernel, self.stride, in_ch, in_ch, 1, h, w, oh, ow, index)
         return [layer], in_ch, oh, ow

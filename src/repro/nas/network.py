@@ -99,7 +99,8 @@ class _PoolUnit(Module):
         self.kernel = block.kernel
         self.stride = block.stride
         self.mode = block.mode
-        # 'Same'-style padding so the geometry matches ArchSpec's ceil rule.
+        # 'Same'-style padding: an odd kernel then meets ArchSpec's ceil rule
+        # (PoolBlock.expand refuses the geometries this unit cannot run).
         self.padding = block.kernel // 2 if block.kernel != block.stride else 0
 
     def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
@@ -117,6 +118,7 @@ class _BranchesUnit(Module):
         super().__init__()
         self.combine = block.combine
         self._branches: list[list[Module]] = []
+        out_channels: list[int] = []
         for b_idx, branch in enumerate(block.branches):
             units: list[Module] = []
             ch = in_ch
@@ -125,6 +127,8 @@ class _BranchesUnit(Module):
                 setattr(self, f"branch{b_idx}_unit{u_idx}", unit)
                 units.append(unit)
             self._branches.append(units)
+            out_channels.append(ch)
+        self.out_ch = sum(out_channels) if self.combine == "concat" else out_channels[0]
 
     def forward(self, x: Tensor, transform: WeightTransform = None) -> Tensor:
         outputs = []
@@ -183,8 +187,7 @@ def build_unit(in_ch: int, block, rng: np.random.Generator,
         return _PoolUnit(block), in_ch
     if isinstance(block, Branches):
         unit = _BranchesUnit(in_ch, block, rng)
-        _, out_ch, _, _ = block.expand(in_ch, 64, 64, -1)  # channel count only
-        return unit, out_ch
+        return unit, unit.out_ch
     raise TypeError(
         f"build_network cannot instantiate block type {type(block).__name__}"
     )
@@ -203,6 +206,9 @@ class BuiltNetwork(Module):
         self.spec = spec
         if not spec.blocks or not isinstance(spec.blocks[-1], FCBlock):
             raise ValueError(f"spec {spec.name!r} must end in an FCBlock classifier")
+        # The geometry every estimate prices; it raises ValueError for a spec
+        # whose blocks the units cannot run (see PoolBlock.expand).
+        layers = spec.layers()
         rngs = spawn_rngs(seed, len(spec.blocks))
         self._units: list[Module] = []
         ch = spec.input_channels
@@ -214,7 +220,7 @@ class BuiltNetwork(Module):
                 if fc_features is None and block.flatten:
                     # Resolve the spatial size feeding this FC.
                     fc_features = next(
-                        l.in_ch for l in spec.layers()
+                        l.in_ch for l in layers
                         if l.kind == "fc" and l.block_index == i
                     )
                 elif fc_features is None:

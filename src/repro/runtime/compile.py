@@ -382,6 +382,8 @@ def compile_spec(
     Raises:
         TypeError: For specs the network builder cannot instantiate
             (e.g. channel shuffles) or unknown model types.
+        ValueError: For a spec whose geometry the units cannot run (see
+            :class:`~repro.nas.arch_spec.PoolBlock`).
     """
     if isinstance(model, BuiltNetwork):
         net = model

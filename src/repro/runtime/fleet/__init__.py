@@ -17,8 +17,8 @@ shared action vocabulary of :mod:`repro.resilience.testing`.
 
 Entry points: :class:`ServingFleet` directly, :func:`repro.api.serve_fleet`,
 or ``repro serve --model NAME`` (one model) / ``--models a,b --workers N
---worker-kind process``; ``repro bench`` replays
-:mod:`~repro.runtime.fleet.traffic` traces against both tiers.
+--worker-kind process``.  Open-loop load against the fleet comes from the
+benchmark harness (``perfbench/run.py --workload serve``).
 """
 
 from repro.runtime.fleet.fleet import WORKER_KINDS, ServingFleet
@@ -31,13 +31,6 @@ from repro.runtime.fleet.requests import (
     WorkerCrashed,
 )
 from repro.runtime.fleet.scheduler import FleetScheduler
-from repro.runtime.fleet.traffic import (
-    TraceEvent,
-    burst_trace,
-    merge_traces,
-    poisson_trace,
-    replay,
-)
 from repro.runtime.fleet.weights import PlanWeightPack, pack_plan_memmap
 from repro.runtime.fleet.worker import ProcessWorker
 
@@ -55,9 +48,4 @@ __all__ = [
     "latency_percentiles",
     "PlanWeightPack",
     "pack_plan_memmap",
-    "TraceEvent",
-    "poisson_trace",
-    "burst_trace",
-    "merge_traces",
-    "replay",
 ]

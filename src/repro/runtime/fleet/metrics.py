@@ -26,22 +26,28 @@ import numpy as np
 LATENCY_RESERVOIR = 2048
 
 
+def _latency_summary(values, mean: float, max_value: float) -> dict[str, float]:
+    """The five-key latency block: given mean/max, percentiles of ``values``."""
+    arr = np.asarray(values, dtype=np.float64)
+    return {
+        "mean": float(mean),
+        "p50": float(np.percentile(arr, 50)),
+        "p95": float(np.percentile(arr, 95)),
+        "p99": float(np.percentile(arr, 99)),
+        "max": float(max_value),
+    }
+
+
 def latency_percentiles(samples_ms) -> dict[str, float]:
     """Mean/p50/p95/p99/max summary of a latency sample list (ms).
 
-    The one latency-summary shape: fleet metrics, traffic replay and the
-    ``repro infer`` payload all report it.
+    The one latency-summary shape: fleet metrics and the ``repro infer``
+    payload both report it.
     """
     arr = np.asarray(list(samples_ms), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("latency_percentiles needs at least one sample")
-    return {
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
+    return _latency_summary(arr, arr.mean(), arr.max())
 
 
 class ReservoirSample:
@@ -101,14 +107,9 @@ class ReservoirSample:
         """
         if self.count == 0:
             raise ValueError("ReservoirSample.summary needs at least one sample")
-        arr = np.asarray(self._values, dtype=np.float64)
-        return {
-            "mean": self.total / self.count,
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "max": self.max_value,
-        }
+        return _latency_summary(
+            self._values, self.total / self.count, self.max_value
+        )
 
 
 class _ModelCounters:
@@ -286,14 +287,9 @@ class ServingMetrics:
         }
         fleet["queue_depth"] = sum(depths.values())
         if lat_count:
-            arr = np.asarray(pooled, dtype=np.float64)
-            fleet["latency_ms"] = {
-                "mean": lat_total / lat_count,
-                "p50": float(np.percentile(arr, 50)),
-                "p95": float(np.percentile(arr, 95)),
-                "p99": float(np.percentile(arr, 99)),
-                "max": lat_max,
-            }
+            fleet["latency_ms"] = _latency_summary(
+                pooled, lat_total / lat_count, lat_max
+            )
         return {
             "uptime_s": wall_s,
             "fleet": fleet,

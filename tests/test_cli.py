@@ -37,14 +37,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--target", "tpu"])
 
-    def test_bench_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--output", "out.json"]
-        )
-        assert args.quick is True
-        assert args.output == "out.json"
-        assert args.format == "text"
-
     def test_rejects_unknown_format(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["zoo", "--format", "yaml"])

@@ -22,13 +22,7 @@ import pytest
 from repro import api
 from repro.nas.arch_spec import ArchSpec, FCBlock, MBConvBlock, PoolBlock, StemBlock
 from repro.runtime import Engine, compile_spec
-from repro.runtime.fleet import (
-    ServingFleet,
-    burst_trace,
-    merge_traces,
-    pack_plan_memmap,
-    replay,
-)
+from repro.runtime.fleet import ServingFleet, pack_plan_memmap
 
 WAIT = 30.0
 
@@ -148,36 +142,33 @@ class TestProcessFleet:
         assert stats["fleet"]["completed"] == 2
         assert stats["config"]["kind"] == "process"
 
-    def test_thread_and_process_tiers_are_equivalent(self, plans, sample):
-        # Sequential arrivals (no coalescing races) so both tiers complete
-        # every request and emit fully-populated stats documents.
-        trace = merge_traces(
-            burst_trace("a", bursts=3, burst_size=1, gap_s=0.03),
-            burst_trace("b", bursts=3, burst_size=1, gap_s=0.03),
-        )
-        inputs = {"a": sample, "b": sample}
-        records = {}
+    def test_thread_and_process_tiers_are_equivalent(self, plans):
+        # Six sequential requests alternating between the two models (no
+        # coalescing races), so both tiers complete every request and emit
+        # fully-populated stats documents.
+        rng = np.random.default_rng(2)
+        requests = [
+            ("ab"[i % 2], rng.standard_normal((3, 12, 12))) for i in range(6)
+        ]
         outputs = {}
         stats = {}
         for kind in ("thread", "process"):
             with ServingFleet(plans, workers=2, kind=kind) as fleet:
-                records[kind] = replay(fleet, trace, inputs, timeout=WAIT)
-                outputs[kind] = {
-                    model: fleet.infer(model, sample, timeout=WAIT)
-                    for model in ("a", "b")
-                }
+                outputs[kind] = [
+                    fleet.infer(model, x, timeout=WAIT) for model, x in requests
+                ]
                 stats[kind] = fleet.stats()
-        # Numerically identical outputs...
-        for model in ("a", "b"):
-            np.testing.assert_array_equal(
-                outputs["thread"][model], outputs["process"][model]
-            )
-        # ...the same replay outcome...
-        assert records["thread"].keys() == records["process"].keys()
+        # Numerically identical answers, request by request...
+        for thread_out, process_out in zip(outputs["thread"],
+                                           outputs["process"]):
+            np.testing.assert_array_equal(thread_out, process_out)
+        # ...every request completed on both tiers...
         for kind in ("thread", "process"):
-            assert records[kind]["completed"] == len(trace)
-            assert records[kind]["rejected"] == 0
-            assert records[kind]["failed"] == 0
+            counters = stats[kind]["fleet"]
+            assert counters["completed"] == len(requests)
+            assert counters["rejected"] == 0
+            assert counters["failed"] == 0
+            assert counters["shed"] == 0
         # ...and one stats schema across tiers (only leaf values differ).
         assert _schema(stats["thread"]) == _schema(stats["process"])
 

@@ -143,6 +143,70 @@ class TestBranches:
             block.expand(3, 8, 8, 0)
 
 
+# (kernel, stride, mode, size, resolves): does the built unit compute the
+# ceil(size / stride) every estimate prices?
+POOL_CASES = [
+    (2, 2, "max", 8, True),
+    (2, 2, "max", 9, False),   # kernel == stride floors an undivided map
+    (3, 3, "max", 9, True),
+    (3, 3, "max", 10, False),
+    (3, 2, "max", 9, True),    # odd kernel != stride: padded by kernel // 2
+    (3, 2, "max", 8, True),
+    (3, 1, "max", 7, True),
+    (5, 2, "max", 11, True),
+    (1, 2, "max", 7, True),
+    (2, 1, "max", 8, False),   # even kernel != stride: floor(size / s) + 1
+    (4, 2, "max", 8, False),
+    (2, 2, "avg", 8, True),
+    (2, 2, "avg", 9, False),
+    (3, 2, "avg", 9, False),   # avg windows tile by kernel, ignoring stride
+    (3, 1, "avg", 9, False),
+]
+
+
+class TestPoolGeometry:
+    @staticmethod
+    def _spec(kernel, stride, mode, size):
+        # A flatten head sized from spec.layers(): a spec/unit disagreement
+        # would surface as a matmul shape error, not pass silently.
+        return ArchSpec(
+            "pool",
+            [
+                StemBlock(out_ch=4, kernel=3, stride=1),
+                PoolBlock(kernel=kernel, stride=stride, mode=mode),
+                FCBlock(out_features=2, flatten=True),
+            ],
+            input_size=size,
+            input_channels=1,
+        )
+
+    @pytest.mark.parametrize("kernel,stride,mode,size,resolves", POOL_CASES)
+    def test_spec_and_built_unit_agree(self, kernel, stride, mode, size,
+                                       resolves):
+        from repro.autograd.tensor import Tensor
+        from repro.nas.network import build_network
+        from repro.runtime import Engine, compile_spec
+
+        spec = self._spec(kernel, stride, mode, size)
+        if not resolves:
+            for refuse in (spec.layers, spec.total_macs,
+                           lambda: build_network(spec, seed=0),
+                           lambda: compile_spec(spec, seed=0)):
+                with pytest.raises(ValueError, match="ceil"):
+                    refuse()
+            return
+        pool = spec.layers()[1]
+        expected = -(-size // stride)
+        assert (pool.out_h, pool.out_w) == (expected, expected)
+        net = build_network(spec, seed=0)
+        net.eval()
+        x = np.random.default_rng(0).standard_normal((2, 1, size, size))
+        pooled = net.units[1](net.units[0](Tensor(x)))
+        assert pooled.shape == (2, 4, expected, expected)
+        assert net(Tensor(x)).shape == (2, 2)
+        assert Engine(compile_spec(net)).run(x).shape == (2, 2)
+
+
 class TestScaleSpec:
     def test_width_multiplier_scales_channels(self):
         spec = simple_spec()

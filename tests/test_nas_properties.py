@@ -4,7 +4,7 @@ and search spaces — the invariants every valid spec/space must satisfy."""
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nas.arch_spec import (
@@ -43,16 +43,26 @@ def spatial_blocks(draw):
     return StemBlock(out_ch=draw(channels), kernel=3, stride=draw(strides))
 
 
+def _resolves(spec: ArchSpec) -> bool:
+    try:
+        spec.layers()
+    except ValueError:  # a pool whose stride does not divide its map
+        return False
+    return True
+
+
 @st.composite
 def random_specs(draw):
     blocks = draw(st.lists(spatial_blocks(), min_size=1, max_size=5))
     blocks.append(FCBlock(out_features=draw(st.sampled_from([2, 5, 10]))))
-    return ArchSpec(
+    spec = ArchSpec(
         name="random",
         blocks=blocks,
         input_size=draw(st.sampled_from([16, 24, 32])),
         input_channels=draw(st.sampled_from([1, 3])),
     )
+    assume(_resolves(spec))
+    return spec
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""CLI coverage for the runtime commands (infer / serve / bench)."""
+"""CLI coverage for the runtime commands (compile / infer / serve)."""
 
 import json
 
@@ -24,13 +24,6 @@ class TestParser:
         assert args.worker_kind == "thread"
         assert args.target == "gpu"
         assert not args.once
-
-    def test_bench_suite_choice(self):
-        # `repro bench` runs only the serving sweep; it has no --suite.
-        assert build_parser().parse_args(["bench"]).output is None
-        for suite in ("runtime", "serving"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["bench", "--suite", suite])
 
     def test_infer_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
@@ -157,10 +150,3 @@ class TestCompileAndPlanCLI:
         main(["compile", "--model", "MobileNet-V2", *SCALE, "--out", plan_path])
         capsys.readouterr()
         assert main(["infer", "--plan", plan_path, "--compare"]) == 2
-
-    def test_training_suite_choice(self):
-        # Training-path timing lives in the repository benchmark.
-        assert build_parser().parse_args(["bench"]).output is None
-        for suite in ("numerics", "training", "search"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["bench", "--suite", suite])

@@ -16,13 +16,8 @@ from repro.runtime.fleet import (
     FleetScheduler,
     QueueFull,
     ServingFleet,
-    TraceEvent,
-    burst_trace,
     latency_percentiles,
-    merge_traces,
     pack_plan_memmap,
-    poisson_trace,
-    replay,
 )
 from repro.runtime.fleet.requests import _FleetRequest
 
@@ -349,72 +344,7 @@ class TestServingFleet:
 
 
 class TestTraffic:
-    def test_poisson_trace_is_deterministic_and_bounded(self):
-        one = poisson_trace("a", rate_hz=200.0, duration_s=0.5, seed=3)
-        two = poisson_trace("a", rate_hz=200.0, duration_s=0.5, seed=3)
-        assert one == two
-        assert all(0 <= event.t < 0.5 for event in one)
-        assert [event.t for event in one] == sorted(event.t for event in one)
-        assert one != poisson_trace("a", rate_hz=200.0, duration_s=0.5, seed=4)
-
-    def test_burst_trace_shape(self):
-        trace = burst_trace("b", bursts=3, burst_size=4, gap_s=0.1)
-        assert len(trace) == 12
-        assert sum(1 for event in trace if event.t == 0.0) == 4
-
-    def test_merge_traces_sorts_by_arrival(self):
-        merged = merge_traces(
-            burst_trace("a", bursts=2, burst_size=1, gap_s=0.2),
-            poisson_trace("b", rate_hz=50.0, duration_s=0.3, seed=0),
-        )
-        assert [event.t for event in merged] == sorted(
-            event.t for event in merged
-        )
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError, match="rate_hz"):
-            poisson_trace("a", rate_hz=0.0, duration_s=1.0)
-        with pytest.raises(ValueError, match=">= 1"):
-            burst_trace("a", bursts=0, burst_size=1, gap_s=0.1)
-
-    def test_replay_round_trip_summary(self, plans, sample):
-        trace = merge_traces(
-            poisson_trace("a", rate_hz=300.0, duration_s=0.1, seed=1),
-            burst_trace("b", bursts=2, burst_size=3, gap_s=0.05),
-        )
-        inputs = {"a": sample, "b": sample}
-        with ServingFleet(plans, workers=2, max_queue=512) as fleet:
-            record = replay(fleet, trace, inputs)
-        assert record["offered"] == len(trace)
-        assert record["completed"] + record["rejected"] + record["shed"] \
-            + record["failed"] == record["offered"]
-        assert record["throughput_rps"] > 0
-        assert set(record["per_model"]) <= {"a", "b"}
-        json.dumps(record)
-
-    def test_replay_times_requests_from_their_due_time(self, plans, sample,
-                                                      monkeypatch):
-        # Five events 10 ms apart; the first submit stalls 200 ms.  Timed
-        # from enqueue every request looks fast; timed from its due time the
-        # first one took at least the stall and the rest were sent late.
-        stall_s = 0.2
-        trace = [TraceEvent(t=0.01 * i, model="a") for i in range(5)]
-        with ServingFleet({"a": plans["a"]}, workers=1) as fleet:
-            submit = fleet.submit
-            stalled = []
-
-            def stalled_submit(*args, **kwargs):
-                if not stalled:
-                    stalled.append(True)
-                    time.sleep(stall_s)
-                return submit(*args, **kwargs)
-
-            monkeypatch.setattr(fleet, "submit", stalled_submit)
-            record = replay(fleet, trace, {"a": sample})
-        assert record["completed"] == 5
-        assert record["latency_ms"]["max"] >= stall_s * 1e3
-        # The second event was due 10 ms in, while the first submit stalled.
-        assert record["max_late_ms"] > (stall_s - 0.02) * 1e3
+    """The latency summary every serving report shares."""
 
     def test_latency_percentiles_requires_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):

@@ -16,8 +16,8 @@ docstring:
   ``compile_spec``, ``ExecutionPlan``, ``plan_arena``, ``Engine``,
   ``ServingFleet``, ...);
 * the serving-fleet surface (everything in ``repro.runtime.fleet.__all__``:
-  ``ServingFleet``, ``FleetScheduler``, ``ServingMetrics``, the traffic
-  generators, ...).
+  ``ServingFleet``, ``FleetScheduler``, ``ServingMetrics``,
+  ``pack_plan_memmap``, ...).
 
 Run directly::
 
