@@ -311,7 +311,8 @@ class SearchRequest:
     ``checkpoint_dir`` enables engine-level checkpointing: searcher state is
     snapshotted every ``checkpoint_every`` epochs.  With ``resume=True`` the
     search restarts from the newest checkpoint in that directory (if any) and
-    finishes bit-identically to an uninterrupted run with the same seed.
+    finishes bit-identically to an uninterrupted run with the same seed;
+    ``resume=True`` without a ``checkpoint_dir`` is rejected.
 
     ``max_rollbacks > 0`` arms the divergence guard
     (:class:`repro.resilience.DivergenceGuard`): an epoch with non-finite
@@ -428,6 +429,8 @@ def search(request: SearchRequest | None = None, **kwargs: Any) -> SearchReport:
     """
     if request is None:
         request = SearchRequest(**kwargs)
+    if request.resume and request.checkpoint_dir is None:
+        raise ValueError("resume=True needs a checkpoint_dir to resume from")
     if request.max_rollbacks < 0:
         raise ValueError(
             f"max_rollbacks must be >= 0, got {request.max_rollbacks}"
@@ -653,8 +656,9 @@ def search_many(
         seed plus an ``aggregate`` block).
 
     Raises:
-        ValueError: On empty/duplicate seeds, an unknown ``objective``, or
-            per-seed fields in ``kwargs``.
+        ValueError: On empty/duplicate seeds, an unknown ``objective``,
+            per-seed fields in ``kwargs``, or ``resume=True`` without a
+            ``checkpoint_dir``.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -693,6 +697,9 @@ def search_many(
         full_epochs = int(kwargs.get("epochs", SearchRequest().epochs))
         if early_stop_after >= full_epochs:
             early_stop_after = None  # probing the whole run kills nothing
+    if kwargs.get("resume") and checkpoint_dir is None:
+        # Before the fan-out, where a retry policy would wrap the error.
+        raise ValueError("resume=True needs a checkpoint_dir to resume from")
     start = time.perf_counter()
     evaluator = ParallelEvaluator(
         workers=workers, task_timeout=task_timeout, retry=retry_policy

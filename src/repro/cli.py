@@ -619,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "configuration is unchanged")
     p_search.add_argument("--resume", action="store_true",
                           help="restart from the newest checkpoint in "
-                               "--checkpoint-dir (bit-identical to an "
-                               "uninterrupted run)")
+                               "--checkpoint-dir, which it requires "
+                               "(bit-identical to an uninterrupted run)")
     p_search.add_argument("--early-stop-after", type=int, default=None,
                           metavar="E",
                           help="with --seeds: probe every seed for E epochs, "

@@ -9,7 +9,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import EDDConfig
-from repro.core.engine import EngineRun, EpochContext, SearchEngine
+from repro.core.engine import EngineRun, SearchEngine
 from repro.core.loss import combined_loss
 from repro.core.cosearch import EDDSearcher, build_supernet
 from repro.core.parallel import ParallelEvaluator
@@ -25,7 +25,6 @@ __all__ = [
     "CheckpointCallback",
     "EDDConfig",
     "EngineRun",
-    "EpochContext",
     "MultiSearchResult",
     "ParallelEvaluator",
     "SearchCheckpoint",

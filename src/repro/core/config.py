@@ -9,7 +9,7 @@ single dispatch point for hardware targets — so plugging in a new device via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _known_targets() -> tuple[str, ...]:
@@ -53,17 +53,9 @@ class EDDConfig:
         Warm-up epochs where only DNN weights are updated before the
         architecture variables join (standard DNAS practice to avoid
         collapsing onto under-trained candidates).
-    hard_weight_step / hard_arch_step:
-        Gumbel sampling mode per phase — hard single-path (paper's
-        memory-efficient mode) or soft weighted mixture (full gradient).
-    bilevel_order:
-        1 = first-order approximation (architecture gradient at the current
-        weights; the common DNAS default).  2 = DARTS-style unrolled step:
-        the architecture gradient is taken at the virtually-updated weights
-        ``w' = w - lr * grad_w L_train`` with the finite-difference
-        Hessian-vector correction (Liu et al. 2019, the paper's ref [18]).
-    unroll_epsilon:
-        Finite-difference scale of the second-order correction.
+
+    Not configurable: weight steps draw hard Gumbel samples and (first-order)
+    arch steps soft ones; see :class:`repro.core.cosearch.EDDSearcher`.
     """
 
     target: str = "gpu"
@@ -82,10 +74,6 @@ class EDDConfig:
     temperature_min: float = 0.3
     temperature_decay: float = 0.9
     arch_start_epoch: int = 1
-    hard_weight_step: bool = True
-    hard_arch_step: bool = False
-    bilevel_order: int = 1
-    unroll_epsilon: float = 1e-2
     grad_clip: float | None = 5.0
     seed: int = 0
     log_every: int = 0  # epochs between log lines; 0 = silent
@@ -103,11 +91,5 @@ class EDDConfig:
             )
         if self.arch_start_epoch < 0:
             raise ValueError("arch_start_epoch must be >= 0")
-        if self.bilevel_order not in (1, 2):
-            raise ValueError(
-                f"bilevel_order must be 1 or 2, got {self.bilevel_order}"
-            )
-        if self.unroll_epsilon <= 0:
-            raise ValueError("unroll_epsilon must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive or None")

@@ -5,7 +5,8 @@ Bilevel stochastic gradient descent over the fused space ``{A, I}``:
 1. initialise Theta/Phi uniform, parallel factors per the device rule;
 2. each epoch, (a) update DNN weights ``w`` on the training split by
    minimising ``Acc_loss`` under sampled architectures, then (b) update
-   ``{Theta, Phi, pf}`` on the validation split by descending Eq. 1;
+   ``{Theta, Phi, pf}`` on the validation split by descending Eq. 1, both
+   at the current weights (first order);
 3. anneal the Gumbel temperature;
 4. derive the argmax architecture, re-tune integer parallel factors, and
    hand the spec to the trainer for training from scratch.
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.core.config import EDDConfig
-from repro.core.engine import EpochContext, SearchEngine
+from repro.core.engine import SearchEngine
 from repro.core.loss import combined_loss
 from repro.core.results import EpochRecord, SearchResult
 from repro.data.loader import DataLoader
@@ -133,10 +134,11 @@ class EDDSearcher:
 
     # -- steps ------------------------------------------------------------------
     def weight_step(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Inner-level update of DNN weights on a training batch."""
+        """Inner-level update of DNN weights on a training batch, under a hard
+        (single-path) Gumbel sample: one candidate per block runs."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        sample = self.supernet.sample(self.sampler, hard=self.config.hard_weight_step)
+        sample = self.supernet.sample(self.sampler, hard=True)
         logits = self.supernet(Tensor(images), sample=sample)
         loss = cross_entropy(logits, labels)
         loss.backward()
@@ -146,10 +148,11 @@ class EDDSearcher:
         return loss.item()
 
     def arch_step(self, images: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-        """Outer-level update of {Theta, Phi, pf} on a validation batch (Eq. 1)."""
+        """Outer-level update of {Theta, Phi, pf} on a validation batch (Eq. 1),
+        under a soft Gumbel sample, first order (at the current weights)."""
         self.weight_optimizer.zero_grad()
         self.arch_optimizer.zero_grad()
-        sample = self.supernet.sample(self.sampler, hard=self.config.hard_arch_step)
+        sample = self.supernet.sample(self.sampler, hard=False)
         logits = self.supernet(Tensor(images), sample=sample)
         acc_loss = cross_entropy(logits, labels)
         hw_eval = self.hw_model.evaluate(sample)
@@ -172,123 +175,7 @@ class EDDSearcher:
             "total_loss": total.item(),
         }
 
-    # -- second-order (DARTS) architecture step -----------------------------------
-    def _weight_grads(self, images: np.ndarray, labels: np.ndarray,
-                      sample: SampledArch) -> list[np.ndarray]:
-        """``grad_w L_train`` under a fixed sample (arch grads discarded)."""
-        self.weight_optimizer.zero_grad()
-        self.arch_optimizer.zero_grad()
-        loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
-        loss.backward()
-        return [
-            p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for p in self.weight_optimizer.params
-        ]
-
-    def _arch_grads(self, images: np.ndarray, labels: np.ndarray,
-                    sample: SampledArch) -> list[np.ndarray]:
-        """``grad_alpha L_train`` at the current weights (weights untouched)."""
-        self.weight_optimizer.zero_grad()
-        self.arch_optimizer.zero_grad()
-        loss = cross_entropy(self.supernet(Tensor(images), sample=sample), labels)
-        loss.backward()
-        return [
-            p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for p in self.arch_optimizer.params
-        ]
-
-    def arch_step_unrolled(
-        self,
-        val_images: np.ndarray,
-        val_labels: np.ndarray,
-        train_images: np.ndarray,
-        train_labels: np.ndarray,
-    ) -> dict[str, float]:
-        """DARTS second-order architecture update (paper ref [18]).
-
-        1. virtual step: ``w' = w - xi * grad_w L_train(w)``;
-        2. evaluate Eq. 1 at ``w'`` -> arch gradients and ``grad_w' L_val``;
-        3. finite-difference Hessian-vector correction:
-           ``- xi * (grad_a L_train(w+) - grad_a L_train(w-)) / (2 eps)``
-           with ``w± = w ± eps * grad_w' L_val``;
-        4. apply the corrected gradient with the arch optimiser.
-        """
-        xi = self.config.lr_weights
-        sample = self.supernet.sample(self.sampler, hard=self.config.hard_arch_step)
-        weights = self.weight_optimizer.params
-
-        originals = [p.data.copy() for p in weights]
-        g_train = self._weight_grads(train_images, train_labels, sample)
-        for p, g in zip(weights, g_train):
-            p.data = p.data - xi * g
-
-        # Full Eq. 1 at the virtual weights.
-        self.weight_optimizer.zero_grad()
-        self.arch_optimizer.zero_grad()
-        logits = self.supernet(Tensor(val_images), sample=sample)
-        acc_loss = cross_entropy(logits, val_labels)
-        hw_eval = self.hw_model.evaluate(sample)
-        total = combined_loss(
-            acc_loss, hw_eval, self.hw_model.resource_bound,
-            beta=self.config.beta, penalty_base=self.config.penalty_base,
-        )
-        total.backward()
-        arch_grads = [
-            p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for p in self.arch_optimizer.params
-        ]
-        val_weight_grads = [
-            p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            for p in weights
-        ]
-
-        # Finite-difference correction around the *original* weights.
-        norm = float(np.sqrt(sum(float((g * g).sum()) for g in val_weight_grads)))
-        stats_extra = 0.0
-        if norm > 1e-12:
-            eps = self.config.unroll_epsilon / norm
-            for p, orig, g in zip(weights, originals, val_weight_grads):
-                p.data = orig + eps * g
-            g_plus = self._arch_grads(train_images, train_labels, sample)
-            for p, orig, g in zip(weights, originals, val_weight_grads):
-                p.data = orig - eps * g
-            g_minus = self._arch_grads(train_images, train_labels, sample)
-            correction_scale = xi / (2.0 * eps)
-            for i in range(len(arch_grads)):
-                arch_grads[i] = arch_grads[i] - correction_scale * (
-                    g_plus[i] - g_minus[i]
-                )
-            stats_extra = correction_scale
-        for p, orig in zip(weights, originals):
-            p.data = orig
-
-        # Install corrected gradients and step the arch optimiser.
-        self.weight_optimizer.zero_grad()
-        self.arch_optimizer.zero_grad()
-        for p, g in zip(self.arch_optimizer.params, arch_grads):
-            p.grad = g
-        if self.config.grad_clip is not None:
-            clip_grad_norm(self.arch_optimizer.params, self.config.grad_clip)
-        self.arch_optimizer.step()
-        self.hw_model.project_parameters()
-        return {
-            "acc_loss": acc_loss.item(),
-            "perf_loss": float(hw_eval.perf_loss.data),
-            "resource": float(hw_eval.resource.data),
-            "total_loss": total.item(),
-            "unroll_scale": stats_extra,
-        }
-
     # -- engine plumbing ---------------------------------------------------------
-    def _engine_arch_step(
-        self, images: np.ndarray, labels: np.ndarray, ctx: EpochContext
-    ) -> dict[str, float]:
-        """Engine adapter: first- or second-order arch step per config."""
-        if self.config.bilevel_order == 2:
-            train_x, train_y = ctx.train_batches[ctx.step % len(ctx.train_batches)]
-            return self.arch_step_unrolled(images, labels, train_x, train_y)
-        return self.arch_step(images, labels)
-
     def _derive(self, name: str) -> tuple:
         """Derive phase: argmax spec plus FPGA parallel-factor retuning."""
         spec = derive_arch_spec(self.supernet, name=name)
@@ -331,19 +218,18 @@ class EDDSearcher:
         Returns:
             A configured engine; ``engine.run(...)`` executes the search.
         """
+        # Bound per call, not at construction: perfbench times both steps by
+        # wrapping them on the class for the life of a run.
         return SearchEngine(
             epochs=self.config.epochs,
             weight_step=self.weight_step,
-            arch_step=self._engine_arch_step,
+            arch_step=self.arch_step,
             arch_start_epoch=self.config.arch_start_epoch,
             anneal=self.sampler.set_epoch,
             derive=lambda: self._derive(name),
             perplexity_fn=lambda: float(
                 np.mean(perplexity(self.supernet.theta.data))
             ),
-            # Only the DARTS-style unrolled arch step reads the epoch's
-            # training batches.
-            buffer_train_batches=self.config.bilevel_order == 2,
             callbacks=[self._log_epoch, *extra_callbacks],
             divergence_guard=divergence_guard,
         )

@@ -12,8 +12,8 @@ phase.
 Drivers
 -------
 * :meth:`repro.core.cosearch.EDDSearcher.search` — full co-search (all four
-  phases; second-order arch steps reach the epoch's training batches through
-  the :class:`EpochContext`).
+  phases, with the searcher's hard-sample weight step and soft-sample,
+  first-order arch step).
 * :class:`repro.baselines.fixed_impl_nas.FixedImplementationNAS` — inherits
   the searcher's engine wiring.
 * :func:`repro.core.trainer.train_from_spec` — weight phase only, with the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -39,22 +39,6 @@ Batch = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
-class EpochContext:
-    """What an arch step may see of the epoch it runs in.
-
-    ``train_batches`` holds the epoch's materialised training batches so
-    second-order (unrolled) architecture steps can take virtual weight steps
-    on real training data; ``step`` is the index of the current validation
-    batch.
-    """
-
-    epoch: int
-    temperature: float = float("nan")
-    step: int = 0
-    train_batches: list[Batch] = field(default_factory=list)
-
-
-@dataclass
 class EngineRun:
     """Outcome of :meth:`SearchEngine.run`."""
 
@@ -64,25 +48,10 @@ class EngineRun:
     wall_seconds: float
     derived: Any = None
 
-    def timing_summary(self) -> dict[str, Any]:
-        """JSON-friendly per-phase accounting (seconds, calls, share)."""
-        total = self.wall_seconds or 1.0
-        return {
-            phase: {
-                "seconds": self.phase_seconds[phase],
-                "calls": self.phase_calls[phase],
-                "share": self.phase_seconds[phase] / total,
-            }
-            for phase in PHASES
-        }
-
 
 WeightStep = Callable[[np.ndarray, np.ndarray], float]
-ArchStep = Callable[[np.ndarray, np.ndarray, EpochContext], dict[str, float]]
+ArchStep = Callable[[np.ndarray, np.ndarray], dict[str, float]]
 EpochCallback = Callable[[EpochRecord], None]
-
-# Keys an arch step must report; they populate the EpochRecord telemetry.
-_ARCH_STAT_KEYS = ("acc_loss", "perf_loss", "resource", "total_loss")
 
 
 class SearchEngine:
@@ -95,7 +64,7 @@ class SearchEngine:
     weight_step:
         ``(images, labels) -> loss`` — the inner-level update.
     arch_step:
-        Optional ``(images, labels, ctx) -> stats dict`` run over the
+        Optional ``(images, labels) -> stats dict`` run over the
         validation loader from ``arch_start_epoch`` on; the stats dict must
         contain ``acc_loss``/``perf_loss``/``resource``/``total_loss``.
     anneal:
@@ -110,12 +79,6 @@ class SearchEngine:
         :attr:`EngineRun.derived`.
     perplexity_fn:
         Optional probe recorded as ``theta_perplexity`` per epoch.
-    buffer_train_batches:
-        Materialise each epoch's training batches into
-        :attr:`EpochContext.train_batches`.  Only second-order (unrolled)
-        architecture steps read them, so the default is off and the training
-        loader streams; a driver that needs the batches (bilevel order 2)
-        switches this on.
     callbacks:
         Called with every completed :class:`EpochRecord` (logging, live
         trajectory plots, checkpoint triggers, ...).
@@ -142,7 +105,6 @@ class SearchEngine:
         anneal_at: str = "start",
         derive: Callable[[], Any] | None = None,
         perplexity_fn: Callable[[], float] | None = None,
-        buffer_train_batches: bool = False,
         callbacks: Sequence[EpochCallback] = (),
         divergence_guard: Any = None,
     ) -> None:
@@ -158,7 +120,6 @@ class SearchEngine:
         self.anneal_at = anneal_at
         self.derive = derive
         self.perplexity_fn = perplexity_fn
-        self.buffer_train_batches = buffer_train_batches
         self.callbacks = list(callbacks)
         self.divergence_guard = divergence_guard
         self.phase_seconds: dict[str, float] = dict.fromkeys(PHASES, 0.0)
@@ -230,25 +191,17 @@ class SearchEngine:
         while epoch < self.epochs:
             tracer = get_tracer()
             epoch_start = tracer.clock() if tracer.enabled else 0.0
-            ctx = EpochContext(epoch=epoch)
+            temperature = float("nan")
             if self.anneal is not None and self.anneal_at == "start":
-                ctx.temperature = float(
+                temperature = float(
                     self._timed("anneal", lambda: self.anneal(epoch))
                 )
 
-            if self.buffer_train_batches and self.arch_step is not None:
-                ctx.train_batches = list(train_loader)
-                train_losses = self._timed(
-                    "weight",
-                    lambda: [self.weight_step(x, y) for x, y in ctx.train_batches],
-                )
-            else:
-                # Stream the loader instead of holding a full epoch of data
-                # in memory; only unrolled arch steps need the batch list.
-                train_losses = self._timed(
-                    "weight",
-                    lambda: [self.weight_step(x, y) for x, y in train_loader],
-                )
+            # Stream the loader: one batch at a time, never an epoch of data.
+            train_losses = self._timed(
+                "weight",
+                lambda: [self.weight_step(x, y) for x, y in train_loader],
+            )
 
             arch_stats: list[dict[str, float]] = []
             if (
@@ -256,17 +209,13 @@ class SearchEngine:
                 and val_loader is not None
                 and epoch >= self.arch_start_epoch
             ):
-                def _arch_epoch() -> list[dict[str, float]]:
-                    stats = []
-                    for i, (x, y) in enumerate(val_loader):
-                        ctx.step = i
-                        stats.append(self.arch_step(x, y, ctx))
-                    return stats
-
-                arch_stats = self._timed("arch", _arch_epoch)
+                arch_stats = self._timed(
+                    "arch",
+                    lambda: [self.arch_step(x, y) for x, y in val_loader],
+                )
 
             if self.anneal is not None and self.anneal_at == "end":
-                ctx.temperature = float(
+                temperature = float(
                     self._timed("anneal", lambda: self.anneal(epoch))
                 )
 
@@ -282,7 +231,7 @@ class SearchEngine:
                 perf_loss=_mean("perf_loss"),
                 resource=_mean("resource"),
                 total_loss=_mean("total_loss"),
-                temperature=ctx.temperature,
+                temperature=temperature,
                 theta_perplexity=(
                     float(self.perplexity_fn())
                     if self.perplexity_fn is not None

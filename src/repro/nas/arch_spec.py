@@ -198,12 +198,18 @@ class PoolBlock(Block):
     ``kernel // 2``), and windows that tile the map (``kernel == stride``,
     the stride dividing both sides).  ``expand`` raises ``ValueError`` for
     every other geometry, so estimates and built networks refuse the same
-    specs.
+    specs.  ``mode`` must be ``"max"`` or ``"avg"``.
     """
 
     kernel: int = 2
     stride: int = 2
     mode: str = "max"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("max", "avg"):
+            raise ValueError(
+                f"pool mode must be 'max' or 'avg', got {self.mode!r}"
+            )
 
     def expand(self, in_ch, h, w, index):
         padded = self.mode == "max" and self.kernel % 2 == 1 and self.kernel != self.stride

@@ -191,7 +191,7 @@ class SuperNet(Module):
         evaluates all M candidates under soft Gumbel weights (FBNet-style),
         giving Theta a full accuracy gradient at roughly M times the compute
         and activation memory of a hard pass, since every candidate runs on
-        the block input one after another.  The co-search defaults to hard
+        the block input one after another.  The co-search always takes hard
         weight steps and soft architecture steps;
         ``benchmarks/bench_ablation_gumbel.py`` quantifies the trade-off.
         """

@@ -138,6 +138,18 @@ class TestSearch:
         with pytest.raises(ValueError, match="unknown target"):
             api.search(target="tpu", epochs=1)
 
+    def test_resume_without_checkpoint_dir_is_rejected(self):
+        # Without a directory there is nothing to resume from; starting
+        # over silently would report "resumed_from": null as if no
+        # checkpoint had been written yet.
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            api.search(epochs=1, blocks=2, resume=True)
+        # search_many refuses before fanning out, so a retry policy cannot
+        # wrap a worker's error into a poisoned task.
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            api.search_many([0, 1], epochs=1, blocks=2, resume=True,
+                            retry_policy=api.RetryPolicy(max_retries=1))
+
 
 class TestDeployPlan:
     def test_plan_text_and_metric(self):

@@ -180,6 +180,14 @@ class TestPoolGeometry:
             input_channels=1,
         )
 
+    def test_unknown_mode_is_rejected(self):
+        # Built units and compiled plans treat any mode but "max" as an
+        # average pool, so an unknown mode must not get that far.
+        with pytest.raises(ValueError, match="'max' or 'avg'"):
+            PoolBlock(kernel=2, stride=2, mode="min")
+        with pytest.raises(ValueError, match="'max' or 'avg'"):
+            self._spec(2, 2, "Max", 8)
+
     @pytest.mark.parametrize("kernel,stride,mode,size,resolves", POOL_CASES)
     def test_spec_and_built_unit_agree(self, kernel, stride, mode, size,
                                        resolves):

@@ -50,6 +50,15 @@ class TestParser:
                      "--cache-dir", str(tmp_path)]) == 2
         assert "requires --seeds" in capsys.readouterr().err
 
+    def test_resume_without_checkpoint_dir_is_rejected(self, capsys):
+        # --resume reads the newest checkpoint in --checkpoint-dir; without
+        # one the search must not start over as if nothing were saved.
+        assert main(["search", "--epochs", "1", "--blocks", "2", "--resume",
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "checkpoint_dir" in captured.err
+        assert captured.out == ""
+
 
 class TestInferCommand:
     def test_json_output(self, capsys):

@@ -7,8 +7,8 @@ docstring:
 * every name in ``repro.api.__all__``, including public methods and
   properties of the classes among them;
 * the :class:`~repro.core.engine.SearchEngine` / callback surface
-  (``SearchEngine``, ``EngineRun``, ``EpochContext``, ``EpochRecord``,
-  ``CheckpointCallback``, ``ParallelEvaluator``, ``MultiSearchResult``);
+  (``SearchEngine``, ``EngineRun``, ``EpochRecord``, ``CheckpointCallback``,
+  ``SearchCheckpoint``, ``ParallelEvaluator``, ``MultiSearchResult``);
 * the registry surface (``TargetSpec``, ``register_target``,
   ``register_device``, ``get_target``, ``get_device``, ``target_names``,
   ``device_names``, ``build_hardware_model``, ``quantization_for_target``);
@@ -57,7 +57,7 @@ def collect_missing() -> list[str]:
     """Return the sorted list of public names lacking docstrings."""
     import repro.api as api
     from repro.core.checkpoint import CheckpointCallback, SearchCheckpoint
-    from repro.core.engine import EngineRun, EpochContext, SearchEngine
+    from repro.core.engine import EngineRun, SearchEngine
     from repro.core.parallel import ParallelEvaluator
     from repro.core.results import EpochRecord, MultiSearchResult
     from repro.hw import registry
@@ -73,9 +73,8 @@ def collect_missing() -> list[str]:
             missing.extend(_missing_in_class(obj, label))
 
     extra_classes = (
-        SearchEngine, EngineRun, EpochContext, EpochRecord,
-        CheckpointCallback, SearchCheckpoint, ParallelEvaluator,
-        MultiSearchResult,
+        SearchEngine, EngineRun, EpochRecord, CheckpointCallback,
+        SearchCheckpoint, ParallelEvaluator, MultiSearchResult,
     )
     for cls in extra_classes:
         label = f"{cls.__module__}.{cls.__name__}"
