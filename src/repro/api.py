@@ -5,7 +5,7 @@ response dataclasses plus the entry functions —
 
 * :func:`search` / :func:`search_many` — run reduced-scale co-searches for
   any registered target and get machine-readable reports (``search_many``
-  batches seeds, optionally with a cross-run result cache);
+  batches seeds);
 * :func:`estimate` — batch-evaluate many models x targets x bit-widths with
   the analytic device models in a single call;
 * :func:`deploy_plan` — render the per-layer implementation plan a hardware
@@ -26,11 +26,6 @@ silently.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import hashlib
-import json
-import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -159,17 +154,6 @@ class EstimateRequest:
         self.bits = tuple(self.bits)
         if not self.models:
             raise ValueError("EstimateRequest needs at least one model")
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form of the request."""
-        return {
-            "models": [
-                m.name if isinstance(m, ArchSpec) else m for m in self.models
-            ],
-            "targets": list(self.targets),
-            "bits": list(self.bits),
-            "devices": dict(self.devices),
-        }
 
 
 @dataclass
@@ -311,8 +295,13 @@ class SearchRequest:
     ``checkpoint_dir`` enables engine-level checkpointing: searcher state is
     snapshotted every ``checkpoint_every`` epochs.  With ``resume=True`` the
     search restarts from the newest checkpoint in that directory (if any) and
-    finishes bit-identically to an uninterrupted run with the same seed;
-    ``resume=True`` without a ``checkpoint_dir`` is rejected.
+    finishes bit-identically to an uninterrupted run with the same seed; a
+    finished search is restored, not re-run, though a retrain re-runs.
+    ``resume=True`` without a ``checkpoint_dir`` is rejected, and so is a
+    checkpoint written by another search: ``target``, ``device``,
+    ``blocks``, ``seed``, ``batch_size``, ``num_classes``, ``input_size``,
+    ``resource_fraction`` and ``arch_start_epoch`` must match (see
+    :mod:`repro.core.checkpoint`).
 
     ``max_rollbacks > 0`` arms the divergence guard
     (:class:`repro.resilience.DivergenceGuard`): an epoch with non-finite
@@ -341,24 +330,6 @@ class SearchRequest:
     resume: bool = False
     max_rollbacks: int = 0
     rollback_lr_scale: float = 0.5
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form of the request (subset echoed into reports)."""
-        return {
-            "target": self.target,
-            "device": self.device,
-            "epochs": self.epochs,
-            "blocks": self.blocks,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "resource_fraction": self.resource_fraction,
-            "retrain_epochs": self.retrain_epochs,
-            "checkpoint_dir": self.checkpoint_dir,
-            "checkpoint_every": self.checkpoint_every,
-            "resume": self.resume,
-            "max_rollbacks": self.max_rollbacks,
-            "rollback_lr_scale": self.rollback_lr_scale,
-        }
 
 
 @dataclass
@@ -540,55 +511,12 @@ def _search_worker(request: SearchRequest) -> SearchReport:
     return search(request)
 
 
-def _request_digest(kwargs: dict[str, Any]) -> str:
-    """Stable digest of the *shared* search configuration.
-
-    Built from every :class:`SearchRequest` field except the per-run managed
-    ones (``seed``, ``checkpoint_dir``) — two ``search_many`` calls whose
-    shared configuration matches therefore hash identically, which is what
-    keys the cross-run result cache.
-    """
-    template = dataclasses.asdict(SearchRequest(**kwargs))
-    template.pop("seed")
-    template.pop("checkpoint_dir")
-    payload = json.dumps(template, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _cache_path(cache_dir: Path, digest: str, seed: int) -> Path:
-    return cache_dir / f"search-{digest}-seed-{seed}.pkl"
-
-
-def _load_cached_report(path: Path) -> SearchReport | None:
-    """Read one cache entry; unreadable/truncated files are cache misses.
-
-    A run killed mid-write (or an old incompatible pickle) must not poison
-    every later ``search_many`` with the same configuration — the seed is
-    simply searched again and the entry rewritten.
-    """
-    try:
-        with path.open("rb") as fh:
-            return pickle.load(fh)
-    except (OSError, EOFError, pickle.UnpicklingError, AttributeError,
-            ImportError, IndexError):
-        return None
-
-
-def _store_cached_report(path: Path, report: SearchReport) -> None:
-    """Atomically persist one cache entry (write temp file, then rename)."""
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with tmp.open("wb") as fh:
-        pickle.dump(report, fh)
-    os.replace(tmp, path)
-
-
 def search_many(
     seeds: Any,
     *,
     workers: int = 1,
     objective: str = "total_loss",
     checkpoint_dir: str | None = None,
-    cache_dir: str | None = None,
     early_stop_after: int | None = None,
     early_stop_keep: int = 1,
     task_timeout: float | None = None,
@@ -606,12 +534,9 @@ def search_many(
     With ``checkpoint_dir`` set, each seed checkpoints into its own
     ``seed-<n>/`` subdirectory; pass ``resume=True`` (forwarded to each
     :class:`SearchRequest`) to restart every seed from its newest checkpoint.
-
-    With ``cache_dir`` set, every finished per-seed report is persisted
-    keyed on (shared-request digest, seed); a re-run with the same shared
-    configuration loads those seeds from the cache instead of searching them
-    again, so only new seeds cost compute.  Cached seeds are listed in the
-    result's ``cached_seeds``.
+    That is also how a re-run skips finished seeds: each restores its last
+    epoch and derives the same result (each report's ``resumed_from`` says
+    so), a new seed runs fresh, and a retrain re-runs.
 
     With ``early_stop_after`` set, the batch runs in two stages: every seed
     is first *probed* for that many epochs, then only the ``early_stop_keep``
@@ -631,12 +556,9 @@ def search_many(
         objective: Aggregation key, one of
             :data:`repro.core.results.MULTI_SEARCH_OBJECTIVES`.
         checkpoint_dir: Parent directory for per-seed checkpoint subdirs.
-        cache_dir: Cross-run result cache directory; completed seeds are
-            skipped on re-run when the shared configuration is unchanged.
         early_stop_after: Probe-stage epoch count; ``None`` disables early
-            stopping.  Incompatible with ``cache_dir`` and ``resume`` (a
-            probe report must never be cached or resumed as if it were a
-            full run).
+            stopping.  Incompatible with ``resume`` (the probe stage manages
+            its own checkpoints).
         early_stop_keep: How many probe-stage leaders survive to the full
             epoch count (the rest are early-stopped).
         task_timeout: Optional per-seed wall-clock budget in seconds for
@@ -684,11 +606,6 @@ def search_many(
             raise ValueError(
                 f"early_stop_keep must be >= 1, got {early_stop_keep}"
             )
-        if cache_dir is not None:
-            raise ValueError(
-                "early_stop_after cannot be combined with cache_dir: a "
-                "probe-stage report must never be cached as a full run"
-            )
         if kwargs.get("resume"):
             raise ValueError(
                 "early_stop_after cannot be combined with resume=True: the "
@@ -716,45 +633,24 @@ def search_many(
             start=start,
             evaluator=evaluator,
         )
-    cached: dict[int, SearchReport] = {}
-    digest = ""
-    if cache_dir is not None:
-        digest = _request_digest(kwargs)
-        cache_root = Path(cache_dir)
-        for seed in seeds:
-            path = _cache_path(cache_root, digest, seed)
-            if path.exists():
-                report = _load_cached_report(path)
-                if report is not None:
-                    cached[seed] = report
-    pending = [seed for seed in seeds if seed not in cached]
-    requests = []
-    for seed in pending:
-        per_seed_dir = (
-            str(Path(checkpoint_dir) / f"seed-{seed}")
-            if checkpoint_dir is not None else None
+    requests = [
+        SearchRequest(
+            seed=seed,
+            checkpoint_dir=(
+                str(Path(checkpoint_dir) / f"seed-{seed}")
+                if checkpoint_dir is not None else None
+            ),
+            **kwargs,
         )
-        requests.append(
-            SearchRequest(seed=seed, checkpoint_dir=per_seed_dir, **kwargs)
-        )
-    fresh = (
-        list(evaluator.map(_search_worker, requests)) if requests else []
-    )
-    by_seed = dict(cached)
-    by_seed.update(zip(pending, fresh))
-    if cache_dir is not None:
-        cache_root = Path(cache_dir)
-        cache_root.mkdir(parents=True, exist_ok=True)
-        for seed, report in zip(pending, fresh):
-            _store_cached_report(_cache_path(cache_root, digest, seed), report)
-    wall = time.perf_counter() - start
+        for seed in seeds
+    ]
+    runs = list(evaluator.map(_search_worker, requests))
     return MultiSearchResult.from_runs(
         seeds=seeds,
-        runs=[by_seed[seed] for seed in seeds],
+        runs=runs,
         objective=objective,
         workers=workers,
-        wall_seconds=wall,
-        cached_seeds=sorted(cached),
+        wall_seconds=time.perf_counter() - start,
     )
 
 
@@ -780,9 +676,6 @@ def _search_many_early_stop(
     and resume is exact.  Dominated seeds keep their probe reports, flagged
     ``early_stopped=True``.
     """
-    import contextlib
-    import tempfile
-
     if evaluator is None:
         evaluator = ParallelEvaluator(workers=workers)
     context = (

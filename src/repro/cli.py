@@ -219,7 +219,6 @@ def _run_search(args: argparse.Namespace) -> int:
             workers=args.workers,
             objective=args.objective,
             checkpoint_dir=args.checkpoint_dir,
-            cache_dir=args.cache_dir,
             early_stop_after=args.early_stop_after,
             early_stop_keep=args.early_stop_keep,
             task_timeout=args.task_timeout,
@@ -234,20 +233,16 @@ def _run_search(args: argparse.Namespace) -> int:
               f"{multi.objective:>14s}")
         for seed, run, value in zip(multi.seeds, multi.runs, values):
             marker = " <- best" if run is multi.best else ""
-            cached = " (cached)" if seed in multi.cached_seeds else ""
+            resumed = " (resumed)" if run.resumed_from else ""
             stopped = (" (early-stopped)"
                        if seed in multi.early_stopped_seeds else "")
             print(f"{seed:6d} {run.spec_name:24s} {str(run.converged):>9s} "
-                  f"{value:14.4f}{marker}{cached}{stopped}")
+                  f"{value:14.4f}{marker}{resumed}{stopped}")
         print(f"\nbest seed {multi.best_seed} "
               f"({multi.workers} worker(s), {multi.wall_seconds:.1f}s)\n")
         print(render_architecture(multi.best.result.spec))
         return 0
 
-    if args.cache_dir:
-        # Cached reports are keyed per batch configuration; a silent no-op
-        # here would look like caching works when it does not.
-        raise ValueError("--cache-dir requires --seeds (multi-seed search)")
     request = api.SearchRequest(
         seed=args.seed, checkpoint_dir=args.checkpoint_dir, **shared,
     )
@@ -613,14 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "with --seeds)")
     p_search.add_argument("--checkpoint-every", type=int, default=1,
                           help="checkpoint period in epochs")
-    p_search.add_argument("--cache-dir", default=None,
-                          help="cross-run result cache for --seeds: finished "
-                               "seeds are skipped when the shared "
-                               "configuration is unchanged")
     p_search.add_argument("--resume", action="store_true",
                           help="restart from the newest checkpoint in "
                                "--checkpoint-dir, which it requires "
-                               "(bit-identical to an uninterrupted run)")
+                               "(bit-identical to an uninterrupted run; a "
+                               "finished seed is restored, not re-run; a "
+                               "checkpoint of another search is an error)")
     p_search.add_argument("--early-stop-after", type=int, default=None,
                           metavar="E",
                           help="with --seeds: probe every seed for E epochs, "

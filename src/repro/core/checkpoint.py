@@ -10,7 +10,7 @@ therefore produces the same final :class:`~repro.core.results.SearchResult`
 arrays as the uninterrupted run (``tests/test_core_checkpoint.py`` asserts
 exact equality).
 
-Format: a single ``.npz`` (version 4).  Saves are **durable**: the payload
+Format: a single ``.npz`` (version 5).  Saves are **durable**: the payload
 is written to a temp file in the same directory, fsynced, and atomically
 ``os.replace``d into place, so a ``kill -9`` at any instant leaves either
 the old checkpoint or the new one — never a half-written corpse shadowing
@@ -19,10 +19,19 @@ good state.  Each file embeds a SHA-256 content checksum
 raise a typed :class:`~repro.resilience.errors.CorruptCheckpoint` on
 truncation or bit-rot, and :func:`find_latest_checkpoint` skips corrupt
 files (with a warning) and falls back to the previous good epoch.
-Version 4 names supernet weights after the network units the supernet is
-built from (``block0_op0.expand.bn.gamma``, ``classifier.linear.weight``);
-older files still verify, but :func:`load_checkpoint` rejects them, and
-since an old format is not corruption they are never pruned.
+
+Version 5 records the search that wrote the file (``meta::identity``, JSON:
+every :class:`~repro.core.config.EDDConfig` field except ``epochs`` and
+``log_every``, every :class:`~repro.nas.space.SearchSpaceConfig` field and
+the hardware model's device) and both optimisers' current learning rates.
+:func:`load_checkpoint` refuses a file whose identity differs from the
+searcher's with a ``ValueError`` naming each differing field, before it
+assigns any state; leaving ``epochs`` out keeps early-stop probes and
+extended runs resumable.  So a re-run with ``resume=True`` is also how a
+finished seed is skipped: it restores the last epoch and derives the same
+result.  Files of formats 1-4 still verify, but :func:`load_checkpoint`
+rejects them, and since an old format is not corruption they are never
+pruned.
 
 Typical use goes through :func:`repro.api.search` (``checkpoint_dir=...`` /
 ``resume=True``) or the CLI's ``repro search --checkpoint-dir ... --resume``;
@@ -37,11 +46,13 @@ the pieces here are the building blocks:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -74,9 +85,14 @@ EPOCH_RECORD_FIELDS = (
     "theta_perplexity",
 )
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 _CHECKSUM_KEY = "meta::checksum"
+_IDENTITY_KEY = "meta::identity"
+
+#: ``EDDConfig`` fields a resume may change: the epoch budget (early-stop
+#: probes and extended runs continue a shorter run) and the log cadence.
+_IDENTITY_EXEMPT = ("epochs", "log_every")
 
 
 def _content_checksum(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -89,6 +105,23 @@ def _content_checksum(arrays: dict[str, np.ndarray]) -> np.ndarray:
         digest.update(repr(arr.shape).encode("ascii"))
         digest.update(np.ascontiguousarray(arr).tobytes())
     return np.frombuffer(digest.digest(), dtype=np.uint8).copy()
+
+
+def _search_identity(searcher: EDDSearcher) -> dict[str, Any]:
+    """What a checkpoint must share with a searcher to resume it (JSON types).
+
+    Every ``EDDConfig`` field but :data:`_IDENTITY_EXEMPT`, every
+    ``SearchSpaceConfig`` field and the hardware model's device name.
+    """
+    identity = {
+        name: value
+        for name, value in dataclasses.asdict(searcher.config).items()
+        if name not in _IDENTITY_EXEMPT
+    }
+    identity.update(dataclasses.asdict(searcher.space))
+    device = getattr(searcher.hw_model, "device", None)
+    identity["device"] = getattr(device, "name", None)
+    return json.loads(json.dumps(identity))
 
 
 def _history_to_array(history: list[EpochRecord]) -> np.ndarray:
@@ -153,6 +186,9 @@ def save_checkpoint(
     payload["meta::alpha"] = np.asarray(getattr(searcher.hw_model, "alpha", 1.0))
     payload["meta::format"] = np.asarray(CHECKPOINT_FORMAT_VERSION)
     payload["meta::temperature"] = np.asarray(searcher.sampler.temperature)
+    payload["meta::lr_weights"] = np.asarray(searcher.weight_optimizer.lr)
+    payload["meta::lr_arch"] = np.asarray(searcher.arch_optimizer.lr)
+    payload[_IDENTITY_KEY] = np.asarray(json.dumps(_search_identity(searcher)))
     payload["rng::sampler"] = capture_rng_state(searcher.sampler.rng)
     payload["rng::train_loader"] = searcher.train_loader.rng_state()
     payload["rng::val_loader"] = searcher.val_loader.rng_state()
@@ -211,11 +247,12 @@ def verify_checkpoint(path: str | Path) -> int:
 def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
     """Restore state saved by :func:`save_checkpoint`; returns the epoch.
 
-    The searcher must have been constructed with the same space/config
-    (shapes are validated parameter by parameter).  Besides parameters and
-    optimiser moments, the supernet buffers, the Gumbel sampler's RNG
-    stream and both loader shuffle streams are restored, which is what makes
-    a resumed search bit-identical.
+    The searcher must have been constructed for the same search: the
+    identity stored in the file (see the module docstring) must equal the
+    searcher's, and shapes are validated parameter by parameter.  Besides
+    parameters and optimiser moments, the supernet buffers, both learning
+    rates, the Gumbel sampler's RNG stream and both loader shuffle streams
+    are restored, which is what makes a resumed search bit-identical.
 
     Args:
         searcher: Freshly constructed searcher matching the checkpointed one.
@@ -228,17 +265,32 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
         CorruptCheckpoint: If the file fails :func:`verify_checkpoint`
             (truncated, unreadable, or checksum mismatch).
         KeyError: If the checkpoint names a parameter the searcher lacks.
-        ValueError: If a stored array's shape does not match its parameter,
-            or the file predates format 4 (the unit-named supernet weights).
+        ValueError: If the file predates format 5, was written by another
+            search (the message names each differing field with its stored
+            and requested value; no state has been assigned), or a stored
+            array's shape does not match its parameter.
     """
     version = verify_checkpoint(path)
     if version < CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint format {version} predates the unit-named "
-            f"supernet weights of format {CHECKPOINT_FORMAT_VERSION} and can "
-            f"no longer be loaded"
+            f"{path}: checkpoint format {version} predates the search "
+            f"identity and learning rates of format "
+            f"{CHECKPOINT_FORMAT_VERSION} and can no longer be loaded"
         )
     with np.load(Path(path)) as data:
+        stored = json.loads(str(data[_IDENTITY_KEY]))
+        requested = _search_identity(searcher)
+        differing = [
+            f"{name} (stored {stored.get(name)!r}, requested "
+            f"{requested.get(name)!r})"
+            for name in sorted(stored.keys() | requested.keys())
+            if stored.get(name) != requested.get(name)
+        ]
+        if differing:
+            raise ValueError(
+                f"{path}: checkpoint was written by another search; "
+                f"differing fields: {', '.join(differing)}"
+            )
         named = dict(searcher.supernet.named_parameters())
         for key in data.files:
             if not key.startswith(_PREFIX_WEIGHTS):
@@ -266,6 +318,8 @@ def load_checkpoint(searcher: EDDSearcher, path: str | Path) -> int:
             searcher.arch_optimizer._m[i] = data[f"{_PREFIX_ADAM_M}{i}"].copy()
             searcher.arch_optimizer._v[i] = data[f"{_PREFIX_ADAM_V}{i}"].copy()
         searcher.arch_optimizer._t = int(data["meta::adam_t"])
+        searcher.weight_optimizer.lr = float(data["meta::lr_weights"])
+        searcher.arch_optimizer.lr = float(data["meta::lr_arch"])
         if hasattr(searcher.hw_model, "alpha"):
             searcher.hw_model.alpha = float(data["meta::alpha"])
             searcher._alpha_calibrated = True

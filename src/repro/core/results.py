@@ -91,9 +91,6 @@ class MultiSearchResult:
         best_index: Index into ``runs``/``seeds`` of the winning run.
         workers: Worker-process count the batch ran with (1 = serial).
         wall_seconds: End-to-end wall clock for the whole batch.
-        cached_seeds: Seeds whose reports were loaded from a cross-run
-            result cache instead of being searched (see
-            :func:`repro.api.search_many`'s ``cache_dir``).
         early_stopped_seeds: Seeds whose runs were killed at the probe stage
             as dominated (see :func:`repro.api.search_many`'s
             ``early_stop_after``); their reports cover only the probe epochs
@@ -106,7 +103,6 @@ class MultiSearchResult:
     best_index: int
     workers: int = 1
     wall_seconds: float = 0.0
-    cached_seeds: list[int] = field(default_factory=list)
     early_stopped_seeds: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -127,7 +123,6 @@ class MultiSearchResult:
         objective: str,
         workers: int = 1,
         wall_seconds: float = 0.0,
-        cached_seeds: list[int] | tuple[int, ...] = (),
         early_stopped_seeds: list[int] | tuple[int, ...] = (),
     ) -> "MultiSearchResult":
         """Build the result with the canonical NaN-aware best selection.
@@ -162,7 +157,6 @@ class MultiSearchResult:
         return cls(
             seeds=seeds, runs=runs, objective=objective,
             best_index=best_index, workers=workers, wall_seconds=wall_seconds,
-            cached_seeds=list(cached_seeds),
             early_stopped_seeds=sorted(dominated),
         )
 
@@ -194,7 +188,6 @@ class MultiSearchResult:
             "seeds": list(self.seeds),
             "workers": self.workers,
             "wall_seconds": self.wall_seconds,
-            "cached_seeds": list(self.cached_seeds),
             "early_stopped_seeds": list(self.early_stopped_seeds),
             "runs": [run.to_dict() for run in self.runs],
             "aggregate": {

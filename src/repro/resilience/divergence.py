@@ -11,11 +11,13 @@ implements the engine's recovery protocol:
   supernet parameter has gone non-finite.
 * :meth:`DivergenceGuard.recover` — restores the searcher from the latest
   *verified* checkpoint (corrupt files are skipped by
-  ``find_latest_checkpoint``), scales both optimizers' learning rates
-  down by ``lr_scale`` (the recorded intervention), and returns the epoch
-  to resume from.  The engine truncates its history and replays from
-  there — deterministically, because the checkpoint restores the RNG
-  streams and the only delta is the smaller LR.
+  ``find_latest_checkpoint``), scales the learning rates that were in
+  effect before the restore down by ``lr_scale`` (the recorded
+  intervention; repeated rollbacks compound), and returns the epoch to
+  resume from.  The engine truncates its history and replays from there —
+  deterministically, because the checkpoint restores the RNG streams and
+  the only delta is the smaller LR.  Later checkpoints store the scaled
+  rates, so a resume from one continues at them.
 * A ``max_rollbacks`` budget: persistent divergence raises a typed
   :class:`~repro.resilience.errors.DivergenceError` carrying every
   intervention tried, instead of looping forever.
@@ -140,9 +142,13 @@ class DivergenceGuard:
                 rollbacks=self.rollbacks - 1,
                 interventions=self.interventions,
             )
+        # The restore brings back the rates saved with the checkpoint; scale
+        # the rates in effect, so rollbacks to one checkpoint compound.
+        lr_weights = self.searcher.weight_optimizer.lr
+        lr_arch = self.searcher.arch_optimizer.lr
         state = ckpt.restore_search_state(self.searcher, latest)
-        self.searcher.weight_optimizer.lr *= self.lr_scale
-        self.searcher.arch_optimizer.lr *= self.lr_scale
+        self.searcher.weight_optimizer.lr = lr_weights * self.lr_scale
+        self.searcher.arch_optimizer.lr = lr_arch * self.lr_scale
         intervention = {
             "epoch": epoch,
             "reason": reason,

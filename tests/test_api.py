@@ -151,6 +151,48 @@ class TestSearch:
                             retry_policy=api.RetryPolicy(max_retries=1))
 
 
+class TestResumeIdentity:
+    """A resume continues only the search whose checkpoints it finds."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("resume-identity")
+        api.search(target="fpga_pipelined", epochs=1, blocks=2,
+                   checkpoint_dir=str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("change, fields", [
+        ({"seed": 5, "resource_fraction": 0.9, "epochs": 3},
+         ["resource_fraction", "seed"]),
+        ({"batch_size": 4}, ["batch_size"]),
+        ({"device": "zcu102"}, ["device"]),
+        ({"input_size": 16}, ["input_size"]),
+    ])
+    def test_another_search_is_rejected(self, checkpoint_dir, change, fields):
+        request = dict(target="fpga_pipelined", epochs=1, blocks=2,
+                       checkpoint_dir=checkpoint_dir, resume=True)
+        with pytest.raises(ValueError, match="another search") as err:
+            api.search(**{**request, **change})
+        message = str(err.value)
+        named = sorted(f for f in ("batch_size", "device", "input_size",
+                                   "resource_fraction", "seed", "target")
+                       if f"{f} (stored " in message)
+        assert named == fields
+
+    @pytest.mark.parametrize("change", [
+        {"epochs": 2},
+        {"retrain_epochs": 1},
+        {"checkpoint_every": 2},
+        {"name": "renamed"},
+    ])
+    def test_run_length_and_naming_may_change(self, tmp_path, change):
+        request = dict(target="fpga_pipelined", epochs=1, blocks=2,
+                       checkpoint_dir=str(tmp_path))
+        api.search(**request)
+        report = api.search(**{**request, **change, "resume": True})
+        assert report.resumed_from is not None
+
+
 class TestDeployPlan:
     def test_plan_text_and_metric(self):
         plan = api.deploy_plan("VGG16", "fpga_pipelined", bits=16)

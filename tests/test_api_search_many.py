@@ -82,6 +82,60 @@ def _nan_aware_equal(a: float, b: float) -> bool:
     return (a != a and b != b) or a == b
 
 
+class TestResumeReRun:
+    """Re-running a checkpointed batch with resume=True skips finished seeds."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rerun")
+
+    @pytest.fixture(scope="class")
+    def first_batch(self, checkpoint_dir):
+        """Cold checkpointed batch over seeds [0, 1] (read-only in tests)."""
+        return _tiny_batch([0, 1], checkpoint_dir=str(checkpoint_dir))
+
+    def test_cold_run_resumes_nothing(self, first_batch, checkpoint_dir):
+        assert [run.resumed_from for run in first_batch.runs] == [None, None]
+        for seed in (0, 1):
+            seed_dir = checkpoint_dir / f"seed-{seed}"
+            assert (seed_dir / "ckpt-epoch-0002.npz").is_file()
+
+    def test_rerun_resumes_every_finished_seed(self, first_batch,
+                                               checkpoint_dir):
+        rerun = _tiny_batch([0, 1], checkpoint_dir=str(checkpoint_dir),
+                            resume=True)
+        assert [run.resumed_from for run in rerun.runs] == [
+            str(checkpoint_dir / f"seed-{seed}" / "ckpt-epoch-0002.npz")
+            for seed in (0, 1)
+        ]
+        assert rerun.objective_values() == first_batch.objective_values()
+        assert rerun.best_seed == first_batch.best_seed
+        for again, first in zip(rerun.runs, first_batch.runs):
+            assert again.spec_name == first.spec_name
+            np.testing.assert_array_equal(again.result.theta,
+                                          first.result.theta)
+            np.testing.assert_array_equal(again.result.phi, first.result.phi)
+            np.testing.assert_equal(  # NaN-aware exact equality
+                [r.to_dict() for r in again.result.history],
+                [r.to_dict() for r in first.result.history],
+            )
+
+    def test_new_seed_runs_fresh_beside_resumed_ones(self, first_batch,
+                                                     checkpoint_dir):
+        extended = _tiny_batch([0, 1, 2], checkpoint_dir=str(checkpoint_dir),
+                               resume=True)
+        assert extended.seeds == [0, 1, 2]
+        resumed = [run.resumed_from is not None for run in extended.runs]
+        assert resumed == [True, True, False]
+        assert extended.objective_values()[:2] == first_batch.objective_values()
+        fresh = _tiny_batch([2])
+        np.testing.assert_array_equal(extended.runs[2].result.theta,
+                                      fresh.runs[0].result.theta)
+        payload = extended.to_dict()
+        assert [run["resumed_from"] is not None
+                for run in payload["runs"]] == resumed
+
+
 class TestEarlyStopping:
     def test_survivor_is_bit_identical_to_full_run(self):
         """Probe-then-resume must reproduce the un-probed full run exactly.
@@ -149,9 +203,6 @@ class TestEarlyStopping:
         with pytest.raises(ValueError, match="early_stop_keep"):
             api.search_many([0, 1], early_stop_after=1, early_stop_keep=0,
                             **kwargs)
-        with pytest.raises(ValueError, match="cache_dir"):
-            api.search_many([0, 1], early_stop_after=1, cache_dir="/tmp/x",
-                            **kwargs)
         with pytest.raises(ValueError, match="resume"):
             api.search_many([0, 1], early_stop_after=1, resume=True, **kwargs)
 
@@ -202,6 +253,25 @@ class TestCliSeeds:
         out = capsys.readouterr().out
         assert "<- best" in out
         assert "best seed" in out
+
+    def test_seeds_rerun_with_resume_marks_resumed_runs(self, capsys,
+                                                        tmp_path):
+        from repro.cli import main
+
+        args = ["search", "--seeds", "2", "--epochs", "1", "--blocks", "2",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main([*args, "--format", "json"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert [run["resumed_from"] for run in cold["runs"]] == [None, None]
+        assert main([*args, "--resume", "--format", "json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert all(run["resumed_from"] for run in warm["runs"])
+        assert warm["aggregate"] == cold["aggregate"]
+        assert main([*args, "--resume"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.strip().startswith(("0 ", "1 "))]
+        assert len(rows) == 2
+        assert all("(resumed)" in row for row in rows)
 
     def test_bad_seed_count_is_user_error(self, capsys):
         from repro.cli import main

@@ -1,5 +1,7 @@
 """Unit tests for search checkpoint/resume."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import EDDConfig
 from repro.core.cosearch import EDDSearcher
+from repro.hw import registry
 
 
 @pytest.fixture
@@ -50,9 +53,14 @@ class TestRoundTrip:
     def test_optimizer_moments_restore(self, searcher, tiny_space, tiny_splits, tmp_path):
         searcher.calibrate_alpha()
         searcher.arch_step(tiny_splits.val.images[:8], tiny_splits.val.labels[:8])
+        # A divergence rollback scales the rates; a resume must keep them.
+        searcher.weight_optimizer.lr = 0.0125
+        searcher.arch_optimizer.lr = 0.025
         path = save_checkpoint(searcher, tmp_path / "ck.npz")
         other = fresh_like(searcher, tiny_space, tiny_splits)
         load_checkpoint(other, path)
+        assert other.weight_optimizer.lr == 0.0125
+        assert other.arch_optimizer.lr == 0.025
         assert other.arch_optimizer._t == searcher.arch_optimizer._t
         for a, b in zip(searcher.arch_optimizer._m, other.arch_optimizer._m):
             np.testing.assert_allclose(a, b)
@@ -251,7 +259,7 @@ class TestDurability:
         with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
             verify_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version1_files_are_rejected_but_never_pruned(self, searcher,
                                                           tmp_path, version):
         from repro.core.checkpoint import (
@@ -262,11 +270,13 @@ class TestDurability:
 
         path = save_checkpoint(searcher, checkpoint_path(tmp_path, 1), epoch=1)
         # Format 2 added buffers, temperature, RNG streams and history;
-        # format 3 the checksum; format 4 renamed the supernet weights.
+        # format 3 the checksum; format 4 renamed the supernet weights;
+        # format 5 added the search identity and the learning rates.
         dropped = {
             1: ("meta::checksum", "meta::temperature", "rng::", "hist::", "buf::"),
             2: ("meta::checksum",),
             3: ("meta::checksum",),
+            4: ("meta::checksum", "meta::identity", "meta::lr_"),
         }[version]
         with np.load(path) as data:
             payload = {
@@ -275,7 +285,7 @@ class TestDurability:
                 if not key.startswith(dropped)
             }
         payload["meta::format"] = np.asarray(version)
-        if version == 3:
+        if version >= 3:
             payload["meta::checksum"] = _content_checksum(payload)
         np.savez(path, **payload)
         assert verify_checkpoint(path) == version
@@ -365,6 +375,78 @@ class TestDurability:
         )
         assert state.epoch == 3
         assert [r.epoch for r in state.history] == [0, 1, 2]
+
+
+def _snapshot(searcher):
+    """Every array and scalar a load could assign, copied."""
+    state = [p.data.copy() for p in searcher.supernet.parameters()]
+    state += [np.asarray(v).copy()
+              for _, v in searcher.supernet.named_buffers()]
+    state += [p.data.copy()
+              for p in searcher.hw_model.implementation_parameters()]
+    state += [v.copy() for v in searcher.weight_optimizer._velocity]
+    state += [m.copy() for m in searcher.arch_optimizer._m]
+    state += [v.copy() for v in searcher.arch_optimizer._v]
+    state += [searcher.arch_optimizer._t, searcher.weight_optimizer.lr,
+              searcher.arch_optimizer.lr, searcher.sampler.temperature,
+              getattr(searcher.hw_model, "alpha", None),
+              searcher._alpha_calibrated]
+    return state
+
+
+class TestSearchIdentity:
+    """A checkpoint resumes only the search that wrote it."""
+
+    @staticmethod
+    def _searcher(space, splits, device=None, input_size=None, **overrides):
+        fields = dict(target="fpga_pipelined", epochs=2, batch_size=8,
+                      arch_start_epoch=0, seed=0, resource_fraction=0.5)
+        config = EDDConfig(**{**fields, **overrides})
+        if input_size is not None:
+            space = dataclasses.replace(space, input_size=input_size)
+        hw_model = registry.get_target(config.target).build_model(
+            space, config, device=device
+        )
+        return EDDSearcher(space, splits, config, hw_model=hw_model)
+
+    @pytest.mark.parametrize("change, named", [
+        ({"seed": 5}, ["seed (stored 0, requested 5)"]),
+        ({"batch_size": 4}, ["batch_size (stored 8, requested 4)"]),
+        ({"resource_fraction": 0.9},
+         ["resource_fraction (stored 0.5, requested 0.9)"]),
+        ({"device": "zcu102"}, ["device (stored 'ZC706', requested 'ZCU102')"]),
+        ({"target": "fpga_recursive"},
+         ["target (stored 'fpga_pipelined', requested 'fpga_recursive')"]),
+        ({"input_size": 16}, ["input_size (stored 8, requested 16)"]),
+        ({"seed": 5, "resource_fraction": 0.9},
+         ["seed (stored 0, requested 5)",
+          "resource_fraction (stored 0.5, requested 0.9)"]),
+    ])
+    def test_other_search_is_rejected_before_any_state_moves(
+        self, searcher, tiny_space, tiny_splits, tmp_path, change, named
+    ):
+        searcher.calibrate_alpha()
+        x, y = tiny_splits.train.images[:8], tiny_splits.train.labels[:8]
+        searcher.weight_step(x, y)
+        searcher.arch_step(tiny_splits.val.images[:8],
+                           tiny_splits.val.labels[:8])
+        path = save_checkpoint(searcher, tmp_path / "ck.npz", epoch=1)
+        other = self._searcher(tiny_space, tiny_splits, **change)
+        before = _snapshot(other)
+        with pytest.raises(ValueError, match="another search") as err:
+            load_checkpoint(other, path)
+        for fragment in named:
+            assert fragment in str(err.value)
+        after = _snapshot(other)
+        assert len(after) == len(before)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+
+    def test_epochs_and_log_every_may_change(self, searcher, tiny_space,
+                                             tiny_splits, tmp_path):
+        path = save_checkpoint(searcher, tmp_path / "ck.npz", epoch=2)
+        other = self._searcher(tiny_space, tiny_splits, epochs=9, log_every=1)
+        assert load_checkpoint(other, path) == 2
 
 
 class TestValidation:

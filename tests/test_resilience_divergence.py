@@ -87,12 +87,13 @@ class TestEngineRollback:
     """End-to-end: NaN injection mid-search rolls back and completes."""
 
     def _run_with_poison(self, tiny_space, tiny_splits, tmp_path, *,
-                         max_rollbacks, poison_every_epoch=False):
-        searcher = EDDSearcher(tiny_space, tiny_splits, _config(epochs=4))
+                         max_rollbacks, poison_every_epoch=False, epochs=4,
+                         guard_class=DivergenceGuard):
+        searcher = EDDSearcher(tiny_space, tiny_splits, _config(epochs=epochs))
         ckdir = tmp_path / "ck"
         callback = CheckpointCallback(searcher, ckdir, every=1)
-        guard = DivergenceGuard(searcher, ckdir, callback=callback,
-                                max_rollbacks=max_rollbacks)
+        guard = guard_class(searcher, ckdir, callback=callback,
+                            max_rollbacks=max_rollbacks)
         guard.prepare()
         fired = []
 
@@ -150,6 +151,56 @@ class TestEngineRollback:
                                   max_rollbacks=0)
         assert err.value.rollbacks == 0
         assert err.value.interventions == []
+
+    def test_resume_after_rollback_matches_the_uninterrupted_run(
+        self, tiny_space, tiny_splits, tmp_path
+    ):
+        # Rolled back at epoch 2 to ckpt-epoch-0002, so epochs 2-4 ran at
+        # half the configured rates; a resume from ckpt-epoch-0003 must
+        # continue at those rates, not the configured ones.
+        searcher, guard, full = self._run_with_poison(
+            tiny_space, tiny_splits, tmp_path, max_rollbacks=1, epochs=5
+        )
+        assert guard.interventions[0]["rollback_to"] == 2
+        resumed = EDDSearcher(tiny_space, tiny_splits, _config(epochs=5))
+        result = resumed.resume(tmp_path / "ck" / "ckpt-epoch-0003.npz",
+                                name="dg")
+        assert resumed.weight_optimizer.lr == searcher.weight_optimizer.lr
+        assert resumed.arch_optimizer.lr == searcher.arch_optimizer.lr
+        np.testing.assert_array_equal(result.theta, full.theta)
+        np.testing.assert_array_equal(result.phi, full.phi)
+        np.testing.assert_equal(  # NaN-aware exact equality
+            [r.to_dict() for r in result.history],
+            [r.to_dict() for r in full.history],
+        )
+
+    def test_rollbacks_to_one_checkpoint_compound(self, tiny_space,
+                                                  tiny_splits, tmp_path):
+        class Repoison(DivergenceGuard):
+            # Diverge again while replaying the epoch the first rollback
+            # restarted, so no newer checkpoint exists before the second.
+            def recover(self, epoch, reason):
+                resume_at = super().recover(epoch, reason)
+                if self.rollbacks == 1:
+                    self.searcher.supernet.theta.data[:] = np.nan
+                return resume_at
+
+        config = _config()
+        searcher, guard, result = self._run_with_poison(
+            tiny_space, tiny_splits, tmp_path, max_rollbacks=2,
+            guard_class=Repoison,
+        )
+        assert [i["rollback_to"] for i in guard.interventions] == [2, 2]
+        assert searcher.weight_optimizer.lr == pytest.approx(
+            config.lr_weights * 0.25
+        )
+        assert searcher.arch_optimizer.lr == pytest.approx(
+            config.lr_arch * 0.25
+        )
+        assert guard.interventions[-1]["lr_weights"] == pytest.approx(
+            config.lr_weights * 0.25
+        )
+        assert np.all(np.isfinite(result.theta))
 
     def test_post_rollback_checkpoints_stay_consistent(self, tiny_space,
                                                        tiny_splits, tmp_path):

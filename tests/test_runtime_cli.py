@@ -43,13 +43,6 @@ class TestParser:
                      "--requests", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_single_seed_cache_dir_is_rejected(self, capsys, tmp_path):
-        # The cache is keyed per multi-seed batch; silently ignoring the
-        # flag on the single-seed path would fake a working cache.
-        assert main(["search", "--epochs", "1", "--blocks", "2",
-                     "--cache-dir", str(tmp_path)]) == 2
-        assert "requires --seeds" in capsys.readouterr().err
-
     def test_resume_without_checkpoint_dir_is_rejected(self, capsys):
         # --resume reads the newest checkpoint in --checkpoint-dir; without
         # one the search must not start over as if nothing were saved.
@@ -57,6 +50,18 @@ class TestParser:
                      "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "checkpoint_dir" in captured.err
+        assert captured.out == ""
+
+    def test_resume_of_another_seed_exits_2(self, capsys, tmp_path):
+        # Seed 0's checkpoint must not be resumed and reported as seed 5.
+        args = ["search", "--epochs", "1", "--blocks", "2",
+                "--checkpoint-dir", str(tmp_path), "--format", "json"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--seed", "5", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "seed (stored 0, requested 5)" in captured.err
         assert captured.out == ""
 
 
